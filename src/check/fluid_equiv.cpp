@@ -47,7 +47,7 @@ classifyFluidMetric(const std::string &path, bool integral)
     //  - path_stages: the tracer never sees packets inside a warped
     //    span, so trail counts and the latency estimates over the
     //    sampled population legitimately differ;
-    //  - fluid director stats and host timings, when embedded.
+    //  - warp stats and host timings, when embedded.
     if (pathContains(path, "/path_stages")
         || pathContains(path, "fluid_stats")
         || pathContains(path, "host_wall"))

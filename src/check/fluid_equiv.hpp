@@ -26,7 +26,7 @@
  * rather than of the modelled system and are excluded from both
  * comparisons: path-tracer trail counts (packets inside a warped span
  * are never traced — that is the point), perf sidecar host timings,
- * and the fluid director's own stats.
+ * and the warp coordinator's own stats.
  */
 
 #ifndef SRIOV_CHECK_FLUID_EQUIV_HPP

@@ -63,7 +63,7 @@ FigCase::drive(Testbed &tb, const std::function<void()> &fn)
     wall_s_ += secondsSince(t0);
     events_ += tb.executedEvents() - before;
     sim_s_ += double((tb.now() - s0).picos()) * 1e-12;
-    // Warp stats (director or coordinator) are cumulative per testbed;
+    // Warp stats are cumulative per testbed;
     // the last drive's view covers every earlier drive of the case.
     if (const sim::FluidStats *fs = tb.fluidStats())
         fluid_ = *fs;

@@ -180,7 +180,7 @@ class FigReport
         /** Simulated seconds covered by the drive — the denominator of
          *  the warp fraction (warped_sim_s / sim_s) in the sidecar. */
         double sim_s = 0;
-        /** Fluid-director stats for the sidecar (zero when off). */
+        /** Warp stats for the sidecar (zero when off). */
         sim::FluidStats fluid;
     };
 

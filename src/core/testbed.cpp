@@ -7,34 +7,12 @@ namespace sriov::core {
 
 Testbed::Testbed(Params p) : params_(std::move(p))
 {
-    if (sim::shardCount() != 0) {
+    if (sim::shardCount() != 0)
         buildSharded();
-        if (sim::fluidEnabled())
-            buildShardedFluid();
-        return;
-    }
-    buildLegacy();
-    if (sim::fluidEnabled()) {
-        // CPU work submitted by netback captures whole frame batches
-        // in its completion closures — state a warp cannot rewrite —
-        // so the director refuses to warp while any is in flight.
-        auto gate = [this]() {
-            static const char *const opaque[] = {"dom0-netback"};
-            for (unsigned i = 0; i < server_->pcpuCount(); ++i) {
-                if (server_->pcpu(i).hasWorkTagged(opaque, 1))
-                    return false;
-            }
-            for (unsigned i = 0; i < client_->pcpuCount(); ++i) {
-                if (client_->pcpu(i).hasWorkTagged(opaque, 1))
-                    return false;
-            }
-            return true;
-        };
-        fluid_ = std::make_unique<FluidDirector>(
-            eq_, [this](sim::FluidVisitor &v) { fluidVisit(v); },
-            std::move(gate));
-        fluid_->start();
-    }
+    else
+        buildLegacy();
+    if (sim::fluidEnabled())
+        buildFluid();
 }
 
 /**
@@ -108,6 +86,10 @@ Testbed::buildLegacy()
     if (params_.num_hosts > 1)
         sim::fatal("multi-host testbed: the ToR relay is an island "
                    "(use --shards=N)");
+
+    // One island, no edges: the engine just runs the single queue.
+    engine_ = std::make_unique<sim::ShardEngine>(1);
+    engine_->addIsland(eq_);
 
     // First thing built: components created below register with it.
     pathtrace_ = std::make_unique<obs::PathTracer>();
@@ -419,7 +401,7 @@ Testbed::buildSharded()
 
 // simlint: fluid-settle
 void
-Testbed::buildShardedFluid()
+Testbed::buildFluid()
 {
     // Every island gets its own ledger — in Exact mode too, so the
     // window quantization the senders and NICs derive from it is the
@@ -433,23 +415,28 @@ Testbed::buildShardedFluid()
     }
     if (sim::fluidMode() != sim::FluidMode::On)
         return;
-    // Same opacity rule as the legacy gate: netback batches capture
-    // frame vectors a warp cannot rewrite. A sharded build refuses PV
-    // guests so the tag should never fire — the gate is the safety
-    // net, not the policy.
+    // CPU work submitted by netback captures whole frame batches in
+    // its completion closures — state a warp cannot rewrite — so the
+    // coordinator refuses to warp while any is in flight. (A sharded
+    // build refuses PV guests, so there the gate is only a safety net.)
     auto gate = [this]() {
         static const char *const opaque[] = {"dom0-netback"};
-        for (Island &s : slices_) {
-            for (unsigned i = 0; i < s.hv->pcpuCount(); ++i) {
-                if (s.hv->pcpu(i).hasWorkTagged(opaque, 1))
+        auto idle = [](vmm::Hypervisor &hv) {
+            for (unsigned i = 0; i < hv.pcpuCount(); ++i) {
+                if (hv.pcpu(i).hasWorkTagged(opaque, 1))
                     return false;
             }
+            return true;
+        };
+        if (!sharded())
+            return idle(*server_) && idle(*client_);
+        for (Island &s : slices_) {
+            if (!idle(*s.hv))
+                return false;
         }
         for (Island &c : client_islands_) {
-            for (unsigned i = 0; i < c.hv->pcpuCount(); ++i) {
-                if (c.hv->pcpu(i).hasWorkTagged(opaque, 1))
-                    return false;
-            }
+            if (!idle(*c.hv))
+                return false;
         }
         return true;
     };
@@ -463,7 +450,7 @@ Testbed::~Testbed() = default;
 sim::EventQueue &
 Testbed::eq()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: eq() on a sharded testbed (one queue per "
                    "island; use run()/orderDigest()/executedEvents())");
     return eq_;
@@ -472,7 +459,7 @@ Testbed::eq()
 vmm::Hypervisor &
 Testbed::server()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: server() on a sharded testbed (one "
                    "hypervisor per slice)");
     return *server_;
@@ -481,7 +468,7 @@ Testbed::server()
 vmm::Hypervisor &
 Testbed::client()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: client() on a sharded testbed (one "
                    "hypervisor per client island)");
     return *client_;
@@ -490,7 +477,7 @@ Testbed::client()
 IovManager &
 Testbed::iovm()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: iovm() on a sharded testbed (one manager "
                    "per slice)");
     return *iovm_;
@@ -499,7 +486,7 @@ Testbed::iovm()
 vmm::MigrationManager &
 Testbed::migration()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: migration crosses slices (use "
                    "--shards=0)");
     return *migration_;
@@ -508,7 +495,7 @@ Testbed::migration()
 guest::GuestKernel &
 Testbed::dom0Kernel()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: dom0Kernel() on a sharded testbed (one "
                    "dom0 per slice)");
     return *dom0_kern_;
@@ -517,7 +504,7 @@ Testbed::dom0Kernel()
 obs::PathTracer &
 Testbed::pathTracer()
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: pathTracer() on a sharded testbed (use "
                    "pathSnapshot())");
     return *pathtrace_;
@@ -526,7 +513,7 @@ Testbed::pathTracer()
 const obs::PathTracer &
 Testbed::pathTracer() const
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("testbed: pathTracer() on a sharded testbed (use "
                    "pathSnapshot())");
     return *pathtrace_;
@@ -535,22 +522,18 @@ Testbed::pathTracer() const
 void
 Testbed::run(sim::Time dt)
 {
-    if (engine_) {
-        // With the coordinator installed the run is sliced into exact
-        // stretches and closed-form warps; without it, one engine run.
-        if (coordinator_)
-            coordinator_->runUntil(now() + dt);
-        else
-            engine_->runUntil(now() + dt);
-        return;
-    }
-    eq_.runUntil(eq_.now() + dt);
+    // With the coordinator installed the run is sliced into exact
+    // stretches and closed-form warps; without it, one engine run.
+    if (coordinator_)
+        coordinator_->runUntil(now() + dt);
+    else
+        engine_->runUntil(now() + dt);
 }
 
 sim::Time
 Testbed::now() const
 {
-    if (engine_)
+    if (sharded())
         return slices_.front().eq->now();
     return eq_.now();
 }
@@ -558,19 +541,19 @@ Testbed::now() const
 std::uint64_t
 Testbed::executedEvents() const
 {
-    return engine_ ? engine_->executedEvents() : eq_.executed();
+    return engine_->executedEvents();
 }
 
 std::uint64_t
 Testbed::orderDigest() const
 {
-    return engine_ ? engine_->foldedDigest() : eq_.orderDigest();
+    return sharded() ? engine_->foldedDigest() : eq_.orderDigest();
 }
 
 obs::PathSnapshot
 Testbed::pathSnapshot() const
 {
-    if (!engine_)
+    if (!sharded())
         return pathtrace_->snapshot();
     std::vector<const obs::PathTracer *> parts;
     parts.reserve(slices_.size() + client_islands_.size() + 1);
@@ -605,7 +588,7 @@ Testbed::makeGuestItr() const
 drivers::NetbackDriver &
 Testbed::netback(unsigned port)
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: PV netback couples dom0 and "
                    "guests (use --shards=0)");
     auto it = netbacks_.find(port);
@@ -624,7 +607,7 @@ Testbed::Guest &
 Testbed::addGuest(vmm::DomainType type, NetMode mode,
                   guest::KernelVersion kv, bool bond_vf_with_pv)
 {
-    if (engine_ && (mode != NetMode::Sriov || bond_vf_with_pv))
+    if (sharded() && (mode != NetMode::Sriov || bond_vf_with_pv))
         sim::fatal("sharded testbed: only plain SR-IOV guests are "
                    "shardable (use --shards=0)");
 
@@ -633,9 +616,9 @@ Testbed::addGuest(vmm::DomainType type, NetMode mode,
 
     // The machine context the guest builds against: its port's server
     // slice in sharded mode, the single server machine otherwise.
-    vmm::Hypervisor &hv = engine_ ? *slices_[port].hv : *server_;
-    obs::PathTracer &pt = engine_ ? *slices_[port].pt : *pathtrace_;
-    IovManager &iovmgr = engine_ ? *slices_[port].iovm : *iovm_;
+    vmm::Hypervisor &hv = sharded() ? *slices_[port].hv : *server_;
+    obs::PathTracer &pt = sharded() ? *slices_[port].pt : *pathtrace_;
+    IovManager &iovmgr = sharded() ? *slices_[port].iovm : *iovm_;
 
     auto g = std::make_unique<Guest>();
     g->mac = guestMac(idx);
@@ -727,9 +710,9 @@ guest::UdpStreamSender &
 Testbed::startUdpToGuestFrom(unsigned client_port, Guest &g,
                              double offered_bps, std::uint32_t payload)
 {
-    sim::EventQueue &rx_eq = engine_ ? *slices_[g.port].eq : eq_;
+    sim::EventQueue &rx_eq = sharded() ? *slices_[g.port].eq : eq_;
     sim::EventQueue &tx_eq =
-        engine_ ? *client_islands_[client_port].eq : eq_;
+        sharded() ? *client_islands_[client_port].eq : eq_;
     if (client_port != g.port && !tor_)
         sim::fatal("cross-port stream needs the ToR relay "
                    "(Params.num_hosts > 1)");
@@ -749,8 +732,8 @@ guest::TcpStreamSender &
 Testbed::startTcpToGuest(Guest &g, std::uint32_t window,
                          std::uint32_t payload)
 {
-    sim::EventQueue &rx_eq = engine_ ? *slices_[g.port].eq : eq_;
-    sim::EventQueue &tx_eq = engine_ ? *client_islands_[g.port].eq : eq_;
+    sim::EventQueue &rx_eq = sharded() ? *slices_[g.port].eq : eq_;
+    sim::EventQueue &tx_eq = sharded() ? *client_islands_[g.port].eq : eq_;
     if (!g.rx) {
         g.rx = std::make_unique<guest::StreamReceiver>(
             rx_eq, *g.stack, guest::StreamReceiver::Proto::Tcp);
@@ -767,7 +750,7 @@ Testbed::startTcpToGuest(Guest &g, std::uint32_t window,
 guest::NetStack &
 Testbed::dom0Net(unsigned port)
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: dom0 traffic stays inside a "
                    "slice and is not shardable (use --shards=0)");
     auto it = dom0_ports_.find(port);
@@ -801,7 +784,7 @@ guest::UdpStreamSender &
 Testbed::startUdpFromDom0(Guest &g, double offered_bps,
                           std::uint32_t payload)
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: dom0 senders are not shardable "
                    "(use --shards=0)");
     if (!g.rx) {
@@ -818,7 +801,7 @@ guest::UdpStreamSender &
 Testbed::startUdpGuestToGuest(Guest &from, Guest &to, double offered_bps,
                               std::uint32_t payload)
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: guest-to-guest traffic is not "
                    "shardable (use --shards=0)");
     if (!to.rx) {
@@ -838,7 +821,7 @@ Testbed::measure(sim::Time warmup, sim::Time window)
     // One utilization snapshot per hypervisor: the single server
     // machine, or every server slice (index-aligned with slices_).
     std::vector<vmm::Hypervisor::UtilSnapshot> snaps;
-    if (engine_) {
+    if (sharded()) {
         snaps.reserve(slices_.size());
         for (Island &s : slices_)
             snaps.push_back(s.hv->snapshot());
@@ -858,7 +841,7 @@ Testbed::measure(sim::Time warmup, sim::Time window)
         m.per_guest_bps.push_back(bps);
         m.total_goodput_bps += bps;
     }
-    if (engine_) {
+    if (sharded()) {
         // Every slice machine has the legacy server's CPU complement,
         // so summing per-slice percentages keeps the legacy scale
         // (port work that shared 16 pCPUs now adds across slices).
@@ -902,7 +885,7 @@ Testbed::ObsHooks::ObsHooks()
 Testbed::ObsHooks &
 Testbed::enableObs()
 {
-    if (engine_) {
+    if (sharded()) {
         // One ObsHooks set per server slice: histogram inserts are
         // island-local, so workers never share a tap. The TCP RTT tap
         // is the one cross-island hook (sender on the client island,
@@ -983,7 +966,7 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
     // figXX.perf.json sidecar instead, keeping figXX.json reports
     // byte-identical between thinned and --no-thin runs (CI diffs
     // them).
-    if (engine_) {
+    if (sharded()) {
         // Per-slice routers: export the slice sum so the metric keeps
         // its legacy meaning (all server-side deliveries).
         reg.addGauge(path("intr.delivered"), [this]() {
@@ -1061,7 +1044,7 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
         reg.addGauge(path(name + ".vm_exit_cycles"),
                      [&dom]() { return dom.exits().totalCycles(); });
     };
-    if (engine_) {
+    if (sharded()) {
         reg.addGauge(path("dom0.vm_exits"), [this]() {
             double v = 0;
             for (const Island &s : slices_)
@@ -1090,7 +1073,7 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
         });
     }
 
-    if (engine_) {
+    if (sharded()) {
         // One histogram block per slice ("hist.s3.*"): merging
         // log-bucketed histograms would lose counts, and the per-slice
         // form is still byte-stable across shard counts.
@@ -1127,7 +1110,7 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
 void
 Testbed::attachObsTrace(obs::ChromeTraceWriter &w)
 {
-    if (engine_) {
+    if (sharded()) {
         // Attaching installs queue observers, so the next run degrades
         // to the sequential schedule — same results, full trace.
         for (std::size_t i = 0; i < slices_.size(); ++i) {
@@ -1156,7 +1139,7 @@ Testbed::attachObsTrace(obs::ChromeTraceWriter &w)
 Testbed::ObsHooks *
 Testbed::obsFor(unsigned port)
 {
-    if (engine_)
+    if (sharded())
         return slices_.at(port).obs.get();
     return obs_.get();
 }
@@ -1164,7 +1147,7 @@ Testbed::obsFor(unsigned port)
 void
 Testbed::fluidVisit(sim::FluidVisitor &v)
 {
-    if (engine_) {
+    if (sharded()) {
         // Sharded walk, island build order (slices then clients, the
         // engine index order) — only legal at a quiescent barrier:
         // wires_ includes the cross-island channels' in-flight frames.
@@ -1277,7 +1260,7 @@ Testbed::fluidVisit(sim::FluidVisitor &v)
 void
 Testbed::watchAll(check::InvariantChecker &chk)
 {
-    if (engine_)
+    if (sharded())
         sim::fatal("sharded testbed: watchAll() is single-stream; run "
                    "the invariant checker with --shards=0");
     for (unsigned i = 0; i < portCount(); ++i) {

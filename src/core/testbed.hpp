@@ -29,7 +29,8 @@
  * need intra-host coupling and refuse sharded construction. The
  * sharded machine model differs from the legacy one (per-slice
  * hypervisors do not contend across ports), so results are compared
- * across shard counts, never against --shards=0.
+ * across shard counts, never against --shards=0. Both forms run on a
+ * sim::ShardEngine: the legacy machine is its single island.
  */
 
 #ifndef SRIOV_CORE_TESTBED_HPP
@@ -40,7 +41,6 @@
 #include <vector>
 
 #include "core/aic.hpp"
-#include "core/fluid_path.hpp"
 #include "core/iov_manager.hpp"
 #include "core/warp_coordinator.hpp"
 #include "core/optimizations.hpp"
@@ -122,14 +122,16 @@ class Testbed
      * eq()/server()/client()/iovm()/migration() address the legacy
      * single-queue build and are fatal on a sharded testbed — sharded
      * code goes through run()/measure()/orderDigest()/pathSnapshot(),
-     * which work in both modes.
+     * which work in both modes. A run driven on eq() directly bypasses
+     * the engine: no fluid ledger observes it and nothing warps.
      * @{ */
     sim::EventQueue &eq();
     vmm::Hypervisor &server();
     vmm::Hypervisor &client();
     IovManager &iovm();
     vmm::MigrationManager &migration();
-    bool sharded() const { return engine_ != nullptr; }
+    bool sharded() const { return !slices_.empty(); }
+    /** The engine running the islands (one island when legacy). */
     sim::ShardEngine &shardEngine() { return *engine_; }
     const Params &params() const { return params_; }
     unsigned portCount() const { return unsigned(ports_.size()); }
@@ -275,18 +277,17 @@ class Testbed
     /** @} */
 
     /**
-     * @name Fluid (flow-level) mode (sim/fluid.hpp, core/fluid_path.hpp).
+     * @name Fluid (flow-level) mode (sim/fluid.hpp,
+     * core/warp_coordinator.hpp).
      *
-     * With sim::fluidEnabled() at construction, a legacy-mode testbed
-     * installs a FluidDirector on its queue: senders and NIC raise
-     * streams feed the process-global ledger, and verified-periodic
-     * stretches of the schedule are warped in closed form. A sharded
-     * build gives every island its own FlowLedger (installed as the
-     * thread-local override while that island executes) and, in
-     * FluidMode::On, a WarpCoordinator that composes the two
-     * accelerators: run() goes through it, and globally certified
-     * stretches warp every island, ledger and cross-island channel in
-     * lockstep at quiescent barriers (DESIGN.md §15).
+     * With sim::fluidEnabled() at construction every island — the
+     * legacy machine's single queue, or each sharded island — gets its
+     * own FlowLedger, which is the executing thread's fluidLedger()
+     * while that island runs: senders and NIC raise streams feed it.
+     * In FluidMode::On a WarpCoordinator drives the engine: run() goes
+     * through it, and certified periodic stretches warp every island,
+     * ledger and cross-island channel in lockstep at run barriers
+     * (DESIGN.md §14–15).
      * @{
      */
 
@@ -296,21 +297,13 @@ class Testbed
      *  the cross-island channels and is only legal at a barrier. */
     void fluidVisit(sim::FluidVisitor &v);
 
-    /** The installed director (null: fluid off or sharded build). */
-    FluidDirector *fluidDirector() { return fluid_.get(); }
-
-    /** The cross-shard coordinator (null unless sharded + mode On). */
+    /** The warp coordinator (null unless FluidMode::On). */
     WarpCoordinator *warpCoordinator() { return coordinator_.get(); }
 
-    /** Warp statistics from whichever accelerator is installed
-     *  (director or coordinator); null when neither warps. */
+    /** The coordinator's warp statistics; null when nothing warps. */
     const sim::FluidStats *fluidStats() const
     {
-        if (fluid_)
-            return &fluid_->stats();
-        if (coordinator_)
-            return &coordinator_->stats();
-        return nullptr;
+        return coordinator_ ? &coordinator_->stats() : nullptr;
     }
 
     /** @} */
@@ -369,7 +362,7 @@ class Testbed
     void installRingObs(ObsHooks &obs, nic::NicPort &nic);
     void buildLegacy();
     void buildSharded();
-    void buildShardedFluid();
+    void buildFluid();
     Island &serverSlice(unsigned port) { return slices_.at(port); }
     Island &clientIsland(unsigned port)
     {
@@ -380,11 +373,11 @@ class Testbed
 
     Params params_;
     sim::EventQueue eq_;
-    /** Sharded build (empty in legacy mode): per-port server slices,
-     *  per-port client islands, and the conservative engine running
-     *  them. Engine island order: slices 0..P-1, clients P..2P-1.
-     *  Declared first so island queues/hypervisors outlive (i.e. are
-     *  destroyed after) the NICs, drivers and guests built on them. */
+    /** Sharded build (empty in legacy mode): per-port server slices
+     *  and per-port client islands. Engine island order: slices
+     *  0..P-1, clients P..2P-1. Declared first so island
+     *  queues/hypervisors outlive (i.e. are destroyed after) the NICs,
+     *  drivers and guests built on them. */
     std::vector<Island> slices_;
     std::vector<Island> client_islands_;
     /** Multi-host builds: the top-of-rack relay island (its queue,
@@ -392,12 +385,14 @@ class Testbed
      *  with the islands so its queue outlives the wires bound to it. */
     struct TorRelay;
     std::unique_ptr<TorRelay> tor_;
+    /** The conservative engine running the islands; the legacy build
+     *  registers eq_ as its only island. */
     std::unique_ptr<sim::ShardEngine> engine_;
-    /** Sharded fluid builds: one ledger per engine island (slices
-     *  0..P-1, clients P..2P-1), installed via setIslandLedger so the
-     *  datapath reports into the owning island's ledger. Components
-     *  never hold ledger pointers (they re-resolve per call), so the
-     *  ledgers only need to outlive the runs, not the components. */
+    /** Fluid builds: one ledger per engine island, installed via
+     *  setIslandLedger so the datapath reports into the owning
+     *  island's ledger. Components never hold ledger pointers (they
+     *  re-resolve per call), so the ledgers only need to outlive the
+     *  runs, not the components. */
     // simlint:allow(fluid-boundary): possession only; settled in .cpp
     std::vector<std::unique_ptr<sim::FlowLedger>> island_ledgers_;
     std::unique_ptr<vmm::Hypervisor> server_;
@@ -421,11 +416,8 @@ class Testbed
     /** Constructed before any component so registration order — and
      *  therefore snapshot/artifact bytes — is fixed by build order. */
     std::unique_ptr<obs::PathTracer> pathtrace_;
-    /** Fluid-mode director (legacy build + sim::fluidEnabled() only).
-     *  Destroyed before the components its state walk references. */
-    std::unique_ptr<FluidDirector> fluid_;
-    /** Cross-shard warp coordinator (sharded build + FluidMode::On).
-     *  Declared last for the same destruction-order reason. */
+    /** Warp coordinator (FluidMode::On only). Declared last so it is
+     *  destroyed before the components its state walk references. */
     std::unique_ptr<WarpCoordinator> coordinator_;
 };
 

@@ -1,28 +1,68 @@
 #include "core/warp_coordinator.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
-#include "core/fluid_path.hpp"
 #include "sim/log.hpp"
 #include "sim/trace.hpp"
 
 namespace sriov::core {
 
-WarpCoordinator::WarpCoordinator(sim::ShardEngine &engine, StateWalk walk,
-                                 WarpGate gate)
-    : WarpCoordinator(engine, std::move(walk), std::move(gate), Config{})
+namespace {
+
+/** Exact-execution slice while waiting for steadiness. Coarse on
+ *  purpose: with workers > 1 every engine.runUntil() spawns and joins
+ *  threads, so sub-ms slices would drown the run in scheduling
+ *  overhead. Off the ms grid so a barrier never lands exactly on a
+ *  schedule instant while the ledgers are still settling. */
+constexpr sim::Time kPollChunk = sim::Time::us(997);
+/** Base back-off after a rejected cycle, doubling per consecutive
+ *  rejection up to kMaxBackoffShift times. */
+constexpr sim::Time kBackoff = sim::Time::ms(5);
+constexpr unsigned kMaxBackoffShift = 6;
+/** Largest global hyperperiod worth probing — each cycle executes
+ *  2 * period of exact simulation before it can warp. */
+constexpr sim::Time kPeriodCap = sim::Time::ms(50);
+/** Period-multiplier scan bound (m * P for m = 1..kMaxMult). */
+constexpr unsigned kMaxMult = 8;
+/** Smallest warp worth applying (in periods). */
+constexpr std::int64_t kMinPeriods = 2;
+
+} // namespace
+
+bool
+WarpCoordinator::shiftSafeTag(const char *tag)
 {
+    // Callbacks under these tags capture only owner pointers and
+    // indices, never per-packet state, so firing them n periods later
+    // reproduces the shifted schedule exactly. Notable exclusions:
+    // "dma.done" and the exact-mode wire events capture a Packet, and
+    // netback's CPU batches capture frame vectors (gated separately
+    // via WarpGate) — any of those pending rejects the cycle.
+    static const char *const kSafe[] = {
+        "cpu.done",          // CpuServer completion (captures this)
+        "wire.burst",        // thin-mode wire drain (this + direction)
+        "netperf.emit",      // CBR sender tick (captures this)
+        "netperf.rto",       // TCP RTO deferred timer (captures this)
+        "netperf.sample",    // receiver rate sampling (captures this)
+        "nic.itr",           // ITR window expiry (this + pool index)
+        "driver.itr_sample", // driver retune timer (captures this)
+    };
+    for (const char *s : kSafe) {
+        if (std::strcmp(tag, s) == 0)
+            return true;
+    }
+    return false;
 }
 
 WarpCoordinator::WarpCoordinator(sim::ShardEngine &engine, StateWalk walk,
-                                 WarpGate gate, Config cfg)
-    : engine_(engine), walk_(std::move(walk)), gate_(std::move(gate)),
-      cfg_(cfg)
+                                 WarpGate gate)
+    : engine_(engine), walk_(std::move(walk)), gate_(std::move(gate))
 {
     if (engine_.islandCount() == 0)
         sim::fatal("warp coordinator: engine has no islands");
@@ -69,11 +109,11 @@ WarpCoordinator::globalPeriod() const
         const sim::FlowLedger *l = engine_.islandLedger(i);
         if (l == nullptr || l->liveFlows() == 0)
             continue;
-        sim::Time p = l->commonPeriod(cfg_.period_cap);
+        sim::Time p = l->commonPeriod(kPeriodCap);
         if (p <= sim::Time())
             return sim::Time();
         lcm = lcm == 0 ? p.picos() : std::lcm(lcm, p.picos());
-        if (lcm <= 0 || lcm > cfg_.period_cap.picos())
+        if (lcm <= 0 || lcm > kPeriodCap.picos())
             return sim::Time();
     }
     return sim::Time::ps(lcm);
@@ -90,16 +130,17 @@ WarpCoordinator::runUntil(sim::Time deadline)
             sim::Time base = globalPeriod();
             if (base > sim::Time()) {
                 sim::Time period = sim::Time::ps(base.picos() * mult_);
-                if (period > cfg_.period_cap) {
+                if (period > kPeriodCap) {
                     // The multiplier outgrew the cap at this base
-                    // period: restart the scan (cf. FluidDirector).
+                    // period: restart the scan — the base may shrink
+                    // again after a retune.
                     mult_ = 1;
                     period = base;
                 }
                 // A cycle runs two exact periods before it can warp;
                 // probe only while the warp itself still fits.
                 if ((deadline - t).picos()
-                    >= period.picos() * (2 + cfg_.min_periods)) {
+                    >= period.picos() * (2 + kMinPeriods)) {
                     probeCycle(deadline, period);
                     continue;
                 }
@@ -108,7 +149,7 @@ WarpCoordinator::runUntil(sim::Time deadline)
         // Not warpable from here: execute an exact slice and
         // re-evaluate at the next barrier. While backing off there is
         // no point stopping earlier than the back-off horizon.
-        sim::Time target = t + cfg_.poll_chunk;
+        sim::Time target = t + kPollChunk;
         if (backoff_until_ > target)
             target = backoff_until_;
         engine_.runUntil(std::min(target, deadline));
@@ -175,7 +216,7 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
     std::int64_t n = (deadline - t2).picos() / np;
     if (abs_bound != sim::Time::max())
         n = std::min(n, (abs_bound - t2).picos() / np);
-    if (n < cfg_.min_periods) {
+    if (n < kMinPeriods) {
         reject("warp horizon too near");
         return false;
     }
@@ -184,8 +225,8 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
         return false;
     }
 
-    // Unlike the director there is no probe event to discount: the
-    // second period ran wall-to-wall simulation events only.
+    // Probes are not events: the second period ran simulation events
+    // only.
     const std::uint64_t per_period = engine_.executedEvents() - exec_s1;
     sim::FluidVisitor apply(sim::FluidVisitor::Pass::Apply);
     apply.armApply(*s1_, *s2_, n);
@@ -225,10 +266,11 @@ bool
 WarpCoordinator::classifyIsland(unsigned island, sim::Time period,
                                 sim::Time *abs_bound, std::string *why)
 {
-    // The director's pending-event classifier, per island. Both
-    // barriers are exactly one period apart, so a periodic process
-    // pends at the same relative offset in e1 and e2; the same-seq
-    // same-when test finds absolute events; anything else rejects.
+    // Both barriers are exactly one period apart, so a periodic
+    // process pends at the same relative offset in e1 and e2. An event
+    // with the same seq at the same due time is the *same* event still
+    // waiting (seqs are unique, so a periodic successor is never
+    // mistaken for its predecessor); anything else rejects.
     const sim::Time t2 = engine_.islandQueue(island).now();
     const sim::Time t1 = t2 - period;
 
@@ -250,7 +292,7 @@ WarpCoordinator::classifyIsland(unsigned island, sim::Time period,
                             (e.when - t2).picos()});
         if (r != rel1.end() && r->second > 0) {
             --r->second;
-            if (!FluidDirector::shiftSafeTag(e.tag)) {
+            if (!shiftSafeTag(e.tag)) {
                 *why = std::string("periodic event '") + e.tag
                     + "' carries opaque captures";
                 return false;
@@ -278,7 +320,7 @@ WarpCoordinator::reject(std::string why)
     e1_.clear();
     e2_.clear();
     shift_keys_.clear();
-    if (mult_ < cfg_.max_mult) {
+    if (mult_ < kMaxMult) {
         // Interacting grids often repeat only at a small multiple of
         // the base hyperperiod: scan upward before backing off.
         ++mult_;
@@ -288,7 +330,7 @@ WarpCoordinator::reject(std::string why)
     unsigned shift = std::min(consecutive_rejects_, kMaxBackoffShift);
     ++consecutive_rejects_;
     backoff_until_ =
-        now() + sim::Time::ps(cfg_.backoff.picos() << shift);
+        now() + sim::Time::ps(kBackoff.picos() << shift);
 }
 
 } // namespace sriov::core

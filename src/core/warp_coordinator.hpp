@@ -1,38 +1,49 @@
 /**
  * @file
- * WarpCoordinator: coordinated cross-shard fluid warping.
+ * WarpCoordinator: the control loop of fluid (flow-level) mode.
  *
- * The FluidDirector (core/fluid_path.hpp) warps a single event queue
- * from inside the schedule: it rides its own probe events. A sharded
- * testbed has no single schedule — one queue per island, conservative
- * promise-clock sync between them — and injecting per-island probe
- * events would (a) change each island's event sequence, breaking the
- * exact-vs-on byte-identity contract, and (b) race the warp against
- * in-flight channel messages. The coordinator instead drives the
- * ShardEngine in slices and probes only at *quiescent barriers*: the
- * instants between engine.runUntil() calls, when every island clock is
- * pinned to the same time, no worker threads are running, and every
- * cross-island message due at or before the barrier has been
- * delivered. Because the conservative schedule is a pure function of
- * simulated times, slicing a run into chunks executes the identical
- * per-island event sequences as one big runUntil — the probe is
- * invisible to the schedule, which is exactly why sharded fluid-on
- * digests stay byte-identical across shard counts.
+ * The ledgers (sim/fluid.hpp) say *when* the testbed looks periodic;
+ * the coordinator proves it and cashes it in. It drives a ShardEngine
+ * in bounded runUntil() slices and probes only at the *barriers*
+ * between them: every island clock pinned to the same instant, no
+ * worker thread running, every cross-island message due at or before
+ * the barrier delivered. The legacy machine is the one-island case — a
+ * single EventQueue with no edges — and runs through the same loop.
  *
- * A cycle is the director's three-capture protocol lifted to the
- * global state: the walk covers every island's components *and* every
- * cross-island channel's in-flight messages (occupancy is an
- * invariant slot, each due instant a time-point slot — a steady
- * edge's population repeats with the hyperperiod, every due advancing
- * by exactly P). Steadiness is certified per island ledger (islands
- * with no live flows are vacuously steady) and the global hyperperiod
- * is the LCM of the per-island hyperperiods; edge periods divide the
- * sending island's period (every channel message is pushed by a
- * ledger-tracked flow), so the LCM covers them by construction. The
- * warp executes at the barrier: slots += n * delta via the apply
- * walk (channel dues shift with everything else), each island's heap
- * keys and clock shift by n * P, the engine's promise/floor clocks
- * shift in lockstep, and the conservative protocol resumes untouched.
+ * Once every island ledger is steady with a global hyperperiod P (the
+ * LCM of the per-island periods), a cycle takes three full state walks
+ * S0, S1, S2 exactly P apart. S1 must repeat S0's slot sequence (same
+ * components, same ring depths); S2 must show every slot's second
+ * per-period delta equal to its first (integers exactly, doubles to a
+ * relative epsilon). That is the periodicity certificate: the schedule
+ * provably satisfies S(t + P) = shift_P(S(t)) over the probed window,
+ * with the deltas *measured*, not modeled. In sharded builds the walk
+ * covers every cross-island channel's in-flight messages too
+ * (occupancy is an invariant slot, each due instant a time-point
+ * slot), and edge periods need no separate term: every cross-island
+ * stream registers as a flow on its receiving island's ledger.
+ *
+ * Each island's pending event heap is classified against the same
+ * certificate. Every event pending at S2 must either match an S1
+ * event of the same tag at the same relative due-time (periodic: its
+ * heap key is shifted by n*P, allowed only for shiftSafeTag() tags) or
+ * be the *same* event (same seq, same absolute due-time) still waiting
+ * (absolute: left in place, and bounding the warp so it never lands in
+ * the past). Anything else rejects the cycle.
+ *
+ * A successful cycle warps at the barrier: every slot += n * delta
+ * (channel dues included), each island's clock and periodic events +=
+ * n * P, the ledgers' send marks += n * P, and the engine's promise
+ * and floor clocks in lockstep. Because the probes never enter an
+ * island's schedule, slicing a run executes the identical per-island
+ * event sequences as one big runUntil — warped runs stay byte-identical
+ * across shard counts, and exact vs on share one schedule. On
+ * rejection the coordinator escalates the period to m * P (interacting
+ * grids often only repeat at a small multiple) and finally backs off
+ * exponentially. Transitions reported to a ledger (drops, RTOs, ITR
+ * changes, VM churn...) drop the testbed back to exact per-packet
+ * simulation automatically: the ledger goes unsteady and no cycle
+ * starts until the hysteresis hold expires.
  */
 
 #ifndef SRIOV_CORE_WARP_COORDINATOR_HPP
@@ -52,35 +63,14 @@ namespace sriov::core {
 class WarpCoordinator
 {
   public:
-    struct Config
-    {
-        /** Exact-execution slice while waiting for steadiness. Much
-         *  coarser than the director's poll: every engine.runUntil()
-         *  spawns and joins worker threads, so sub-ms slices would
-         *  drown the run in scheduling overhead. Off the ms grid so a
-         *  barrier never lands exactly on a schedule instant while the
-         *  ledgers are still settling. */
-        sim::Time poll_chunk = sim::Time::us(997);
-        /** Base back-off after a rejected cycle (doubles per
-         *  consecutive rejection, capped at kMaxBackoffShift). */
-        sim::Time backoff = sim::Time::ms(5);
-        /** Largest global hyperperiod worth probing. */
-        sim::Time period_cap = sim::Time::ms(50);
-        /** Period-multiplier scan bound (m * P for m = 1..max_mult). */
-        unsigned max_mult = 8;
-        /** Smallest warp worth applying (in periods). */
-        std::int64_t min_periods = 2;
-    };
-
-    static constexpr unsigned kMaxBackoffShift = 6;
-
     /** Global state walk: every island's components, build order,
      *  including cross-island channel contents. MUST be pure
      *  visitation — no scheduling, no sends, no ledger updates. */
     using StateWalk = std::function<void(sim::FluidVisitor &)>;
 
-    /** Extra warp gate, checked after verification (see
-     *  FluidDirector::WarpGate). Null = always allow. */
+    /** Extra warp gate, checked after verification: return false to
+     *  refuse (e.g. CPU work whose closures captured packets is in
+     *  flight — sim::CpuServer::hasWorkTagged). Null = always allow. */
     using WarpGate = std::function<bool()>;
 
     /**
@@ -90,8 +80,6 @@ class WarpCoordinator
      */
     WarpCoordinator(sim::ShardEngine &engine, StateWalk walk,
                     WarpGate gate);
-    WarpCoordinator(sim::ShardEngine &engine, StateWalk walk,
-                    WarpGate gate, Config cfg);
 
     WarpCoordinator(const WarpCoordinator &) = delete;
     WarpCoordinator &operator=(const WarpCoordinator &) = delete;
@@ -108,6 +96,16 @@ class WarpCoordinator
 
     /** Diagnostics: why the most recent cycle failed ("" if none). */
     const std::string &lastReject() const { return last_reject_; }
+
+    /**
+     * Tags whose pending events may be shifted by a whole number of
+     * periods: their callbacks capture only owner pointers/indices, so
+     * re-executing them later reproduces the shifted schedule. Tags
+     * carrying per-packet captures (dma.done, exact-mode wire events,
+     * netback grant batches) are deliberately absent — a cycle that
+     * finds one pending rejects. Exposed for tests.
+     */
+    static bool shiftSafeTag(const char *tag);
 
   private:
     sim::Time now() const;
@@ -127,7 +125,6 @@ class WarpCoordinator
     sim::ShardEngine &engine_;
     StateWalk walk_;
     WarpGate gate_;
-    Config cfg_;
     sim::FluidStats stats_;
 
     unsigned mult_ = 1;

@@ -73,9 +73,9 @@ UdpStreamSender::emit()
     sent_bytes_ += payload_;
     sent_packets_.inc();
     if (sim::FlowLedger *l = sim::fluidLedger()) {
-        // Lazy registration: the ledger is installed by the fluid
-        // director after testbed construction, so the first send a
-        // ledger observes claims the flow id.
+        // Lazy registration: the island's ledger is only installed
+        // while the island runs, so the first send it observes claims
+        // the flow id.
         if (fluid_flow_ < 0)
             fluid_flow_ =
                 int(l->addFlow("udp-" + std::to_string(flow_)));

@@ -134,7 +134,7 @@ NicPort::setItr(Pool pool, double hz)
     // combined schedule has no usable hyperperiod; rounding the window
     // to the nearest whole number of grid ticks (at most a half-tick
     // perturbation, and only when that stays within 2x of the asked
-    // window) gives the director a finite period to verify against.
+    // window) gives the coordinator a finite period to verify against.
     // Interrupt-rate-derived metrics are tolerance-banded under fluid
     // for exactly this reason (DESIGN.md section 14).
     sim::Time prev_window = ps.itr_window;

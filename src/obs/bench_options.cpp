@@ -235,7 +235,7 @@ BenchOptions::usage(const std::string &bench)
            "                 with every event (equivalence reference:\n"
            "                 integer counters match \"on\" exactly;\n"
            "                 see DESIGN.md §14). Off by default;\n"
-           "                 ignored on sharded builds\n"
+           "                 composes with --jobs and --shards\n"
            "                 (env fallback: SRIOV_FLUID)\n"
            "  --pathtrace[=off|sampled|full]\n"
            "                 causal packet-path tracing: writes " + bench

@@ -64,15 +64,14 @@ class BenchOptions
     bool noThin() const { return no_thin_; }
 
     /** --fluid[=on|exact|off] (env SRIOV_FLUID): flow-level fluid
-     *  mode — the testbed installs a core::FluidDirector that warps
+     *  mode — the testbed installs a core::WarpCoordinator that warps
      *  over provably periodic steady-state stretches instead of
      *  simulating every packet event (DESIGN.md §14). "exact" runs
      *  the same fluid schedule without warping (the equivalence
      *  reference). Off by default; --fluid=off preserves reports
      *  bit-for-bit. parse() applies it to the global
      *  sim::setFluidMode switch before any testbed exists. Composes
-     *  with --shards=N: sharded builds warp at quiescent barriers via
-     *  the WarpCoordinator (DESIGN.md §15). */
+     *  with --jobs=N and --shards=N (DESIGN.md §15). */
     bool fluid() const { return fluid_mode_ != sim::FluidMode::Off; }
     sim::FluidMode fluidMode() const { return fluid_mode_; }
     /** "off" | "exact" | "on" — for the perf sidecar. */

@@ -114,8 +114,8 @@ class CpuServer
     /**
      * Is any queued or in-service item attributed to one of the @p n
      * @p tags? A fluid warp shifts every visited time-point but cannot
-     * rewrite values captured inside completion closures, so the fluid
-     * director refuses to warp while work whose closure captures
+     * rewrite values captured inside completion closures, so the warp
+     * coordinator refuses to warp while work whose closure captures
      * per-packet data (netback's grant-copy batches) is in flight.
      */
     bool hasWorkTagged(const char *const *tags, std::size_t n) const;

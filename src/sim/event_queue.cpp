@@ -269,8 +269,6 @@ EventQueue::runUntil(Time deadline)
     // Single purge point per iteration: the purge both exposes the
     // next live event for the deadline check and establishes
     // executeTop()'s precondition.
-    Time prev_deadline = run_deadline_;
-    run_deadline_ = deadline;
     std::uint64_t n = 0;
     for (purgeCancelledTop();
          !heap_.empty() && heap_[0].when <= deadline;
@@ -280,7 +278,6 @@ EventQueue::runUntil(Time deadline)
     }
     if (now_ < deadline)
         now_ = deadline;
-    run_deadline_ = prev_deadline;
     return n;
 }
 

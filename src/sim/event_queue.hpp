@@ -221,18 +221,18 @@ class EventQueue
     /** @} */
 
     /**
-     * @name Fluid-mode warp (sim/fluid.hpp, core::FluidDirector).
+     * @name Fluid-mode warp (sim/fluid.hpp, core::WarpCoordinator).
      *
      * A verified-periodic simulation is fast-forwarded by shifting the
      * clock and the *periodic* subset of pending events by a whole
      * number of periods while absolute deadlines (sampling timelines,
-     * policy timers) stay put. The director pairs snapshotPending()
-     * with fluidWarp() inside one event callback, with no intervening
+     * policy timers) stay put. The coordinator pairs snapshotPending()
+     * with fluidWarp() at one run barrier, with no intervening
      * schedule/cancel, so the key indices stay valid.
      * @{
      */
 
-    /** One live pending event as the director classifies it. */
+    /** One live pending event as the coordinator classifies it. */
     struct PendingEvent
     {
         Time when;
@@ -244,9 +244,6 @@ class EventQueue
     /** Snapshot live pending events (heap array order, cancelled
      *  entries skipped). */
     void snapshotPending(std::vector<PendingEvent> &out) const;
-
-    /** Deadline of the innermost runUntil() (Time::max() outside). */
-    Time runDeadline() const { return run_deadline_; }
 
     /**
      * Advance now() by @p delta and shift the heap keys listed in
@@ -391,7 +388,6 @@ class EventQueue
     std::uint32_t slot_count_ = 0;
     std::uint32_t free_head_ = EventHandle::kNone;
     Time now_;
-    Time run_deadline_ = Time::max();
     std::uint64_t next_seq_ = 1;
     std::uint64_t executed_ = 0;
     std::uint64_t live_events_ = 0;

@@ -10,14 +10,7 @@ namespace sriov::sim {
 
 namespace {
 FluidMode g_fluid_mode = FluidMode::Off;
-FlowLedger *g_fluid_ledger = nullptr;
-/**
- * Per-thread override for sharded builds: the ShardEngine installs the
- * owning island's ledger around each advanceIsland() slice so datapath
- * components — which re-resolve fluidLedger() on every call and cache
- * only their flow id — report into their island's ledger with zero
- * call-site changes. Null outside shard execution.
- */
+/** The executing island's ledger (ThreadLedgerScope); null outside. */
 thread_local FlowLedger *t_fluid_ledger = nullptr;
 } // namespace
 
@@ -48,27 +41,17 @@ setFluid(bool enabled)
 FlowLedger *
 fluidLedger()
 {
-    if (t_fluid_ledger != nullptr)
-        return t_fluid_ledger;
-    return g_fluid_ledger;
-}
-
-void
-setFluidLedger(FlowLedger *l)
-{
-    g_fluid_ledger = l;
-}
-
-FlowLedger *
-threadFluidLedger()
-{
     return t_fluid_ledger;
 }
 
-void
-setThreadFluidLedger(FlowLedger *l)
+ThreadLedgerScope::ThreadLedgerScope(FlowLedger *l) : prev_(t_fluid_ledger)
 {
     t_fluid_ledger = l;
+}
+
+ThreadLedgerScope::~ThreadLedgerScope()
+{
+    t_fluid_ledger = prev_;
 }
 
 // ---------------------------------------------------------------------

@@ -49,10 +49,10 @@ namespace sriov::sim {
  *           digest are bit-for-bit those of a build without fluid.
  *  - Exact: the *fluid schedule* (devices snap their timer windows
  *           onto the send grid so a hyperperiod exists — see
- *           SriovNic::setItr), simulated event by event. No director
- *           probes, no warps.
- *  - On:    the same fluid schedule, with the FluidDirector warping
- *           over certified periodic stretches.
+ *           SriovNic::setItr), simulated event by event. No probes,
+ *           no warps.
+ *  - On:    the same fluid schedule, with the core::WarpCoordinator
+ *           warping over certified periodic stretches.
  *
  * Exact exists to make the equivalence contract testable: On and
  * Exact share one schedule, so every integer counter must agree
@@ -218,7 +218,7 @@ enum class FlowKind : std::uint8_t { Source, Derived };
  * steady once kSteadyGaps consecutive inter-send gaps are exactly
  * equal and no transition has been reported for kHoldGaps further
  * gaps (the re-entry hysteresis). The ledger is pure bookkeeping —
- * the FluidDirector combines allSteady() + commonPeriod() with its
+ * the WarpCoordinator combines liveSteady() + commonPeriod() with its
  * own two-period state-delta verification before warping anything.
  */
 class FlowLedger
@@ -262,10 +262,9 @@ class FlowLedger
 
     /**
      * Every live flow is steady — vacuously true with none live. The
-     * cross-island coordinator uses this per-island form: an idle
-     * island (no flows) must not veto a global warp, while allSteady()
-     * deliberately returns false for an empty ledger so the
-     * single-queue director never probes a flowless testbed.
+     * coordinator uses this per-island form: an idle island (no flows)
+     * must not veto a global warp. allSteady() is the strict form,
+     * false for an empty ledger.
      */
     bool liveSteady() const;
 
@@ -325,35 +324,26 @@ class FlowLedger
 };
 
 /**
- * Process-global ledger hook. The FluidDirector installs its ledger
- * here; datapath components report transitions through it without
- * holding a reference (null when fluid is off — one load + branch per
- * transition site, which are all off the steady-state fast path).
+ * The ledger of the island executing on the calling thread; null
+ * outside a run and whenever fluid is off (one load + branch per
+ * report site, all off the steady-state fast path). sim::ShardEngine
+ * installs an island's ledger (ShardEngine::setIslandLedger) around
+ * everything that island executes, so every datapath send and
+ * transition lands in the ledger of the island owning the component,
+ * and concurrent testbeds (sweep workers, parallel islands) never
+ * share one. Components re-resolve it on every call and cache only
+ * their flow id. Reports made outside a run (testbed construction,
+ * stream start) are not observed: a flow registers at its first send
+ * inside a run.
  */
 FlowLedger *fluidLedger();
-void setFluidLedger(FlowLedger *l);
 
-/**
- * Thread-local ledger override for sharded builds. When set, it wins
- * over the process-global ledger in fluidLedger(). The ShardEngine
- * installs each island's ledger around the island's execution slice
- * (and the WarpCoordinator around barrier-time walks), so every
- * datapath transition/send lands in the ledger of the island that owns
- * the component — with zero call-site changes, because components
- * re-resolve fluidLedger() on every call and cache only their flow id.
- */
-FlowLedger *threadFluidLedger();
-void setThreadFluidLedger(FlowLedger *l);
-
-/** RAII guard installing a thread-local ledger for a scope. */
+/** RAII guard: @p l is the calling thread's ledger for a scope. */
 class ThreadLedgerScope
 {
   public:
-    explicit ThreadLedgerScope(FlowLedger *l) : prev_(threadFluidLedger())
-    {
-        setThreadFluidLedger(l);
-    }
-    ~ThreadLedgerScope() { setThreadFluidLedger(prev_); }
+    explicit ThreadLedgerScope(FlowLedger *l);
+    ~ThreadLedgerScope();
     ThreadLedgerScope(const ThreadLedgerScope &) = delete;
     ThreadLedgerScope &operator=(const ThreadLedgerScope &) = delete;
 

@@ -162,8 +162,8 @@ class ShardChannel final : public ShardEdge
 
     /** @name Quiescent-barrier access for the fluid warp.
      *
-     * Only legal while no producer or consumer thread is running (the
-     * WarpCoordinator's barrier): the in-flight entries are then plain
+     * Only legal while no producer or consumer thread is running (a
+     * WarpCoordinator barrier): the in-flight entries are then plain
      * data, visited as fluid slots (due times are linear in the warp
      * delta, payloads are invariants) and shifted in lockstep with the
      * island clocks. @{ */
@@ -262,9 +262,9 @@ class ShardEngine
     /**
      * Give island @p island its own flow ledger. While the island
      * executes (advanceIsland and the delivery cascades it triggers),
-     * the ledger is installed as the thread-local fluidLedger()
-     * override, so every datapath send/transition lands in the ledger
-     * of the island that owns the component. Null detaches.
+     * the ledger is the executing thread's fluidLedger(), so every
+     * datapath send/transition lands in the ledger of the island that
+     * owns the component. Null detaches.
      */
     // simlint:allow(fluid-boundary): declarations; settle sites in .cpp
     void setIslandLedger(unsigned island, FlowLedger *ledger);

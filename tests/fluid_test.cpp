@@ -1,16 +1,17 @@
 // Tests for fluid (flow-level) simulation mode: the FlowLedger's
 // steadiness hysteresis and period arithmetic, the FluidVisitor
-// capture/verify/apply protocol, the global mode switch, the
-// FluidDirector's shift-safe tag allowlist, and the equivalence
-// contract on a live testbed (--fluid=exact vs --fluid=on share one
-// schedule, so integer-derived measurements must agree exactly).
+// capture/verify/apply protocol, the global mode switch, and the
+// equivalence contract on a live testbed (--fluid=exact vs --fluid=on
+// share one schedule, so integer-derived measurements must agree
+// exactly).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-#include "core/fluid_path.hpp"
+#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "sim/fluid.hpp"
 #include "sim/time.hpp"
@@ -362,7 +363,7 @@ TEST(FluidVisitor, ApplyWritesNPeriodsInClosedForm)
 }
 
 // ---------------------------------------------------------------------
-// Mode switch and director surface
+// Mode switch
 // ---------------------------------------------------------------------
 
 TEST(FluidMode, ScopeSetsAndRestores)
@@ -389,22 +390,6 @@ TEST(FluidMode, ScopeSetsAndRestores)
     EXPECT_EQ(sim::fluidMode(), FluidMode::Off);
 }
 
-TEST(FluidDirector, ShiftSafeTagAllowlistIsExactAndClosed)
-{
-    using core::FluidDirector;
-    // Tags whose pending events a warp may shift: closures capturing
-    // only owner pointers/indices.
-    for (const char *tag : {"cpu.done", "wire.burst", "netperf.emit",
-                            "netperf.rto", "netperf.sample", "nic.itr",
-                            "driver.itr_sample"})
-        EXPECT_TRUE(FluidDirector::shiftSafeTag(tag)) << tag;
-    // Everything else must reject the cycle — especially the
-    // per-packet capture carriers.
-    for (const char *tag :
-         {"dma.done", "netback.batch", "wire.exact", "", "unknown"})
-        EXPECT_FALSE(FluidDirector::shiftSafeTag(tag)) << tag;
-}
-
 // ---------------------------------------------------------------------
 // The equivalence contract on a live testbed
 // ---------------------------------------------------------------------
@@ -418,11 +403,11 @@ struct RunResult
     Time warped;
 };
 
-/** A small 2-VM SR-IOV testbed driven for 4 simulated seconds. */
+/** A small 2-VM SR-IOV testbed driven for 4 simulated seconds in the
+ *  current fluid mode. */
 RunResult
-runSmallTestbed(FluidMode mode)
+driveSmallTestbed()
 {
-    sim::FluidScope scope(mode);
     core::Testbed::Params p;
     p.num_ports = 1;
     p.itr = "adaptive";
@@ -440,6 +425,13 @@ runSmallTestbed(FluidMode mode)
         r.warped = fs->warped;
     }
     return r;
+}
+
+RunResult
+runSmallTestbed(FluidMode mode)
+{
+    sim::FluidScope scope(mode);
+    return driveSmallTestbed();
 }
 
 } // namespace
@@ -465,6 +457,44 @@ TEST(FluidEquivalence, OffModeInstallsNothing)
     core::Testbed::Params p;
     p.num_ports = 1;
     core::Testbed tb(p);
-    EXPECT_EQ(tb.fluidDirector(), nullptr);
+    EXPECT_EQ(tb.warpCoordinator(), nullptr);
+    EXPECT_EQ(tb.shardEngine().islandLedger(0), nullptr);
+}
+
+TEST(FluidEquivalence, LedgerBelongsToTheRunningIsland)
+{
+    sim::FluidScope scope(FluidMode::Exact);
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    core::Testbed tb(p);
+    auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                          core::Testbed::NetMode::Sriov);
+    tb.startUdpToGuest(g, p.line_bps / 2);
+    // The island's ledger is the thread's ledger only while the island
+    // runs: nothing is installed before or after.
     EXPECT_EQ(sim::fluidLedger(), nullptr);
+    tb.run(Time::ms(10));
+    EXPECT_EQ(sim::fluidLedger(), nullptr);
+    const FlowLedger *l = tb.shardEngine().islandLedger(0);
+    ASSERT_NE(l, nullptr);
+    EXPECT_GT(l->flowCount(), 0u);
+}
+
+TEST(FluidEquivalence, ConcurrentTestbedsKeepSeparateLedgers)
+{
+    // Every testbed's ledgers belong to its own islands, so sweep
+    // workers warp side by side (--jobs=N --fluid=on) and each case
+    // matches its sequential run.
+    RunResult solo = runSmallTestbed(FluidMode::On);
+    ASSERT_GT(solo.segments, 0u);
+    sim::FluidScope scope(FluidMode::On);
+    std::vector<RunResult> par(2);
+    core::SweepRunner(2).run(par.size(), [&par](std::size_t i) {
+        par[i] = driveSmallTestbed();
+    });
+    for (const RunResult &r : par) {
+        EXPECT_EQ(r.segments, solo.segments);
+        EXPECT_EQ(r.warped, solo.warped);
+        EXPECT_EQ(r.goodput_bps, solo.goodput_bps);
+    }
 }

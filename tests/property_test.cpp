@@ -29,9 +29,13 @@ QuietLogs quiet_logs;
  * either delivered to the application or visible in exactly one drop
  * counter (wire TX queue, NIC ring, NIC unmatched, socket buffer) —
  * modulo the small number still in flight when the clock stops.
+ *
+ * The policy is a std::string, not a const char *: gtest prints a
+ * pointer inside a tuple with its address, which would put an
+ * ASLR-dependent number into every test ID.
  */
 class Conservation
-    : public ::testing::TestWithParam<std::tuple<const char *, double>>
+    : public ::testing::TestWithParam<std::tuple<std::string, double>>
 {
 };
 
@@ -41,7 +45,7 @@ TEST_P(Conservation, EveryPacketIsDeliveredOrCounted)
     Testbed::Params p;
     p.num_ports = 1;
     p.opts = OptimizationSet::maskEoi();
-    p.opts.aic = std::string(policy) == "AIC";
+    p.opts.aic = policy == "AIC";
     p.itr = policy;
     Testbed tb(p);
     auto &g = tb.addGuest(vmm::DomainType::Hvm, Testbed::NetMode::Sriov);

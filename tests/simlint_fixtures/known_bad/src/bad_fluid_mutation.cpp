@@ -16,7 +16,7 @@ fabricateSteadiness(unsigned flow, unsigned long long now_ps)
 void
 skewGrid(sriov::sim::FlowLedger &ledger)                      // BAD
 {
-    // Shifting the send grid without the director's warp certificate:
+    // Shifting the send grid without the coordinator's certificate:
     // every later closed-form count is built on a lie.
     ledger.warpBy(sriov::sim::Time::us(3));                   // BAD
 }

@@ -215,7 +215,7 @@ TEST(SimlintFluidBoundary, FluidCoreAndNonSrcAreOutOfScope)
     std::string text = "void f() { sim::fluidLedger()->warpBy(dt); }\n";
     EXPECT_EQ(lint(text, "src/guest/x.cpp").size(), 2u);
     EXPECT_TRUE(lint(text, "src/sim/fluid.cpp").empty());
-    EXPECT_TRUE(lint(text, "src/core/fluid_path.cpp").empty());
+    EXPECT_TRUE(lint(text, "src/core/warp_coordinator.cpp").empty());
     EXPECT_TRUE(lint(text, "tests/fluid_test.cpp").empty());
 }
 

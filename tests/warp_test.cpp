@@ -1,16 +1,18 @@
 /**
  * @file
- * Tests for the coordinated cross-shard fluid warp (--shards=N
- * --fluid=on, DESIGN.md §15): the WarpCoordinator must actually warp a
- * steady sharded workload, the warped schedule must be the exact
- * sharded schedule (integer-derived measurements bit-equal between
- * --fluid=exact and --fluid=on), and everything — digests, event
- * counts, fluid stats — must be invariant across shard counts.
+ * Tests for the WarpCoordinator (DESIGN.md §14–15): it must actually
+ * warp a steady sharded workload, the warped schedule must be the
+ * exact sharded schedule (integer-derived measurements bit-equal
+ * between --fluid=exact and --fluid=on), everything — digests, event
+ * counts, fluid stats — must be invariant across shard counts, and
+ * the legacy machine must warp through the same driver as a single
+ * island whose schedule never carries a probe.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 
 #include "check/determinism.hpp"
@@ -133,7 +135,6 @@ TEST(WarpCoordinator, ExactInstallsLedgersButNoCoordinator)
     // Exact mode quantizes through the island ledgers (so On shares
     // its schedule) but never warps; there is nothing to coordinate.
     EXPECT_EQ(tb.warpCoordinator(), nullptr);
-    EXPECT_EQ(tb.fluidDirector(), nullptr);
     EXPECT_EQ(tb.fluidStats(), nullptr);
 }
 
@@ -144,16 +145,73 @@ TEST(WarpCoordinator, OffInstallsNothingSharded)
     p.num_ports = 1;
     core::Testbed tb(p);
     EXPECT_EQ(tb.warpCoordinator(), nullptr);
-    EXPECT_EQ(tb.fluidDirector(), nullptr);
     EXPECT_EQ(tb.fluidStats(), nullptr);
 }
 
-TEST(WarpCoordinator, LegacyFluidStillUsesTheDirector)
+TEST(WarpCoordinator, LegacyFluidRunsOneIsland)
 {
     sim::FluidScope fluid(FluidMode::On);
     core::Testbed::Params p;
     p.num_ports = 1;
     core::Testbed tb(p);
-    EXPECT_NE(tb.fluidDirector(), nullptr);
-    EXPECT_EQ(tb.warpCoordinator(), nullptr);
+    // The legacy machine is the one-island case of the same driver.
+    EXPECT_FALSE(tb.sharded());
+    EXPECT_EQ(tb.shardEngine().islandCount(), 1u);
+    EXPECT_NE(tb.warpCoordinator(), nullptr);
+    EXPECT_NE(tb.fluidStats(), nullptr);
+}
+
+namespace {
+
+/** Counts executed events whose tag starts with "fluid.". */
+struct FluidTagCounter final : sim::EventQueue::ExecHook
+{
+    std::uint64_t events = 0;
+
+    void
+    onEventStart(Time, std::uint64_t, const char *tag) override
+    {
+        if (std::strncmp(tag, "fluid.", 6) == 0)
+            ++events;
+    }
+    void onEventEnd(Time, std::uint64_t, const char *) override {}
+};
+
+} // namespace
+
+TEST(WarpCoordinator, LegacyProbesNeverEnterTheSchedule)
+{
+    sim::FluidScope fluid(FluidMode::On);
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    core::Testbed tb(p);
+    FluidTagCounter counter;
+    tb.eq().addExecHook(&counter);
+    for (unsigned i = 0; i < 2; ++i) {
+        auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                              core::Testbed::NetMode::Sriov);
+        tb.startUdpToGuest(g, p.line_bps / 2);
+    }
+    tb.measure(Time::sec(1), Time::sec(3));
+    tb.eq().removeExecHook(&counter);
+    // Probes run at barriers between engine slices, never as events.
+    ASSERT_NE(tb.fluidStats(), nullptr);
+    EXPECT_GT(tb.fluidStats()->segments, 0u);
+    EXPECT_EQ(counter.events, 0u);
+}
+
+TEST(WarpCoordinator, ShiftSafeTagAllowlistIsExactAndClosed)
+{
+    using core::WarpCoordinator;
+    // Tags whose pending events a warp may shift: closures capturing
+    // only owner pointers/indices.
+    for (const char *tag : {"cpu.done", "wire.burst", "netperf.emit",
+                            "netperf.rto", "netperf.sample", "nic.itr",
+                            "driver.itr_sample"})
+        EXPECT_TRUE(WarpCoordinator::shiftSafeTag(tag)) << tag;
+    // Everything else must reject the cycle — especially the
+    // per-packet capture carriers.
+    for (const char *tag :
+         {"dma.done", "netback.batch", "wire.exact", "", "unknown"})
+        EXPECT_FALSE(WarpCoordinator::shiftSafeTag(tag)) << tag;
 }

@@ -495,12 +495,12 @@ ruleFluidBoundary(const std::string &file, const std::vector<Token> &t,
     // unannotated site can fabricate a steadiness certificate the probe
     // protocol never checked. Mere possession of the ledger is the
     // boundary — anything that can name it can mutate it — so any
-    // mention outside src/sim/fluid.* and src/core/fluid_path.* must
-    // sit inside a function blessed with `// simlint: fluid-settle`.
+    // mention outside src/sim/fluid.* and src/core/warp_coordinator.*
+    // must sit inside a function blessed with `// simlint: fluid-settle`.
     // fluidTransition/fluidTransitionAll are deliberately NOT policed:
     // they only force exact mode, which is always conservative.
     static const std::set<std::string> kLedgerNames = {
-        "FlowLedger", "fluidLedger", "setFluidLedger", "warpBy"};
+        "FlowLedger", "fluidLedger", "warpBy"};
 
     // Settle regions: the first brace block after each annotation.
     std::vector<std::pair<int, int>> regions;
@@ -747,9 +747,8 @@ isWireFile(const std::string &path)
         && p.filename().string().rfind("wire", 0) == 0;
 }
 
-/** src/sim/fluid.*, src/core/fluid_path.* and the cross-shard
- *  core/warp_coordinator.*: the fluid engine itself, where ledger
- *  mutation is the whole job. */
+/** src/sim/fluid.* and src/core/warp_coordinator.*: the fluid engine
+ *  itself, where ledger mutation is the whole job. */
 bool
 isFluidCoreFile(const std::string &path)
 {
@@ -760,7 +759,6 @@ isFluidCoreFile(const std::string &path)
     std::string dir = p.parent_path().filename().string();
     std::string name = p.filename().string();
     return (dir == "sim" && name.rfind("fluid", 0) == 0)
-        || (dir == "core" && name.rfind("fluid_path", 0) == 0)
         || (dir == "core" && name.rfind("warp_coordinator", 0) == 0);
 }
 

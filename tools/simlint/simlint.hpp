@@ -20,7 +20,7 @@
  *                            functions annotated `// simlint: hot`
  *   fluid-boundary           naming the fluid settlement ledger
  *                            (FlowLedger / fluidLedger / warpBy)
- *                            outside sim/fluid.*, core/fluid_path.*,
+ *                            outside sim/fluid.*,
  *                            core/warp_coordinator.* and functions
  *                            annotated
  *                            `// simlint: fluid-settle` — unwitnessed
