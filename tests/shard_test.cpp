@@ -302,3 +302,111 @@ TEST(ShardTestbed, ShardedMeasurementsMatchAcrossShardCounts)
     EXPECT_EQ(m1.total_goodput_bps, m4.total_goodput_bps);
     EXPECT_EQ(m1.cpu_by_tag, m4.cpu_by_tag);
 }
+
+// The builder refuses every topology the island partition cannot hold.
+// Each refusal exits through sim::fatal with a message that names the
+// way out, so these pin the message as well as the exit.
+
+namespace {
+
+/** Parameters of a one-port testbed (the smallest partition). */
+core::Testbed::Params
+onePort()
+{
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    return p;
+}
+
+} // namespace
+
+TEST(ShardTestbedDeathTest, VmdqNicRefusesThePartition)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed::Params p = onePort();
+            p.use_vmdq_nic = true;
+            core::Testbed tb(p);
+        },
+        ::testing::ExitedWithCode(1),
+        "sharded testbed: the VMDq topology has no island partition");
+}
+
+TEST(ShardTestbedDeathTest, MultiHostNeedsThePartition)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(0);
+            core::Testbed::Params p = onePort();
+            p.num_hosts = 2;
+            core::Testbed tb(p);
+        },
+        ::testing::ExitedWithCode(1),
+        "multi-host testbed: the ToR relay is an island");
+}
+
+TEST(ShardTestbedDeathTest, PvGuestIsRefused)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed tb(onePort());
+            tb.addGuest(vmm::DomainType::Pvm, core::Testbed::NetMode::Pv);
+        },
+        ::testing::ExitedWithCode(1),
+        "sharded testbed: only plain SR-IOV guests are shardable");
+}
+
+TEST(ShardTestbedDeathTest, BondedGuestIsRefused)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed tb(onePort());
+            tb.addGuest(vmm::DomainType::Hvm, core::Testbed::NetMode::Sriov,
+                        guest::KernelVersion::v2_6_28, true);
+        },
+        ::testing::ExitedWithCode(1),
+        "sharded testbed: only plain SR-IOV guests are shardable");
+}
+
+TEST(ShardTestbedDeathTest, Dom0TrafficIsRefused)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed tb(onePort());
+            tb.dom0Net(0);
+        },
+        ::testing::ExitedWithCode(1),
+        "sharded testbed: dom0 traffic stays inside a slice");
+}
+
+TEST(ShardTestbedDeathTest, GuestToGuestIsRefused)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed tb(onePort());
+            auto &a = tb.addGuest(vmm::DomainType::Hvm,
+                                  core::Testbed::NetMode::Sriov);
+            auto &b = tb.addGuest(vmm::DomainType::Hvm,
+                                  core::Testbed::NetMode::Sriov);
+            tb.startUdpGuestToGuest(a, b, 100e6);
+        },
+        ::testing::ExitedWithCode(1),
+        "sharded testbed: guest-to-guest traffic is not shardable");
+}
+
+TEST(ShardTestbedDeathTest, SingleQueueAccessIsRefused)
+{
+    EXPECT_EXIT(
+        {
+            sim::ShardScope scope(1);
+            core::Testbed tb(onePort());
+            tb.eq();
+        },
+        ::testing::ExitedWithCode(1),
+        "testbed: eq\\(\\) on a sharded testbed");
+}
