@@ -7,10 +7,7 @@ namespace sriov::core {
 
 Testbed::Testbed(Params p) : params_(std::move(p))
 {
-    if (sim::shardCount() != 0)
-        buildSharded();
-    else
-        buildLegacy();
+    build();
     if (sim::fluidEnabled())
         buildFluid();
 }
@@ -21,7 +18,7 @@ Testbed::Testbed(Params p) : params_(std::move(p))
  * and at addGuest (guest VF MACs) — a lookup and a re-send on the
  * destination's downlink, no learning, no flooding. Deterministic by
  * construction: the table is keyed by MAC value and the relay runs on
- * its own EventQueue like any other island.
+ * its own island like any other.
  */
 struct Testbed::TorRelay
 {
@@ -44,9 +41,7 @@ struct Testbed::TorRelay
         Port *end = nullptr;
     };
 
-    sim::EventQueue eq;
-    obs::PathTracer pt;
-    unsigned index = 0;    ///< engine island index (registered last)
+    unsigned island = 0;    ///< engine island index (the last one)
     std::vector<std::unique_ptr<Port>> ports;
     std::map<std::uint64_t, Link> route;
     /** Per global port: the downlink toward that port's server NIC. */
@@ -81,43 +76,85 @@ struct Testbed::TorRelay
 };
 
 void
-Testbed::buildLegacy()
+Testbed::build()
 {
-    if (params_.num_hosts > 1)
+    // The partition: one island for the whole machine, or (--shards)
+    // a server slice and a client island per port, plus the ToR relay
+    // island for a rack.
+    const bool parted = sim::shardCount() != 0;
+    if (parted && params_.use_vmdq_nic)
+        sim::fatal("sharded testbed: the VMDq topology has no island "
+                   "partition (use --shards=0)");
+    if (!parted && params_.num_hosts > 1)
         sim::fatal("multi-host testbed: the ToR relay is an island "
                    "(use --shards=N)");
+    // Multi-host racks replicate the whole per-port structure: global
+    // port g = host * num_ports + local port, every name and BDF keyed
+    // by g so nothing collides across hosts.
+    const unsigned nports =
+        params_.use_vmdq_nic ? 1 : params_.num_ports * params_.num_hosts;
+    const unsigned machines = parted ? nports : 1;
+    const unsigned islands =
+        parted ? 2 * machines + (params_.num_hosts > 1 ? 1 : 0) : 1;
 
-    // One island, no edges: the engine just runs the single queue.
-    engine_ = std::make_unique<sim::ShardEngine>(1);
-    engine_->addIsland(eq_);
+    // Island order is the digest fold order: slices 0..P-1, clients
+    // P..2P-1, then the ToR — fixed by the partition, not the worker
+    // count. Tracers exist before any component, so registration order
+    // (and every artifact built from it) is build order. On a partition
+    // each island stamps into its own tracer in shard-half mode, and
+    // pathSnapshot() joins the halves by trace id.
+    engine_ = std::make_unique<sim::ShardEngine>(
+        parted ? sim::shardCount() : 1);
+    for (unsigned k = 0; k < islands; ++k) {
+        queues_.push_back(std::make_unique<sim::EventQueue>());
+        tracers_.push_back(std::make_unique<obs::PathTracer>());
+        tracers_.back()->setShardHalf(parted);
+        engine_->addIsland(*queues_.back());
+    }
+    if (params_.num_hosts > 1) {
+        tor_ = std::make_unique<TorRelay>();
+        tor_->island = islands - 1;
+    }
 
-    // First thing built: components created below register with it.
-    pathtrace_ = std::make_unique<obs::PathTracer>();
-
+    // Every hypervisor (servers, then clients) before any server-side
+    // software: the single-island build order the golden digest pins.
     vmm::Hypervisor::MachineParams mp;
-    server_ = std::make_unique<vmm::Hypervisor>(eq_, params_.costs, mp);
-    client_ = std::make_unique<vmm::Hypervisor>(eq_, params_.costs, mp);
-    params_.opts.apply(*server_);
+    auto addMachine = [&](std::vector<Machine> &list, unsigned island) {
+        Machine m;
+        m.island = island;
+        m.eq = queues_[island].get();
+        m.pt = tracers_[island].get();
+        m.hv = std::make_unique<vmm::Hypervisor>(*m.eq, params_.costs, mp);
+        list.push_back(std::move(m));
+    };
+    for (unsigned k = 0; k < machines; ++k)
+        addMachine(servers_, k);
+    for (unsigned k = 0; k < machines; ++k)
+        addMachine(clients_, parted ? machines + k : 0);
+    for (Machine &s : servers_) {
+        params_.opts.apply(*s.hv);
+        s.iovm = std::make_unique<IovManager>(*s.hv);
+        s.dom0 = std::make_unique<guest::GuestKernel>(
+            *s.hv, s.hv->dom0(), guest::KernelVersion::v2_6_28);
+    }
+    migration_ = std::make_unique<vmm::MigrationManager>(*servers_.front().hv);
 
-    iovm_ = std::make_unique<IovManager>(*server_);
-    migration_ = std::make_unique<vmm::MigrationManager>(*server_);
-    dom0_kern_ = std::make_unique<guest::GuestKernel>(
-        *server_, server_->dom0(), guest::KernelVersion::v2_6_28);
-
-    unsigned nports = params_.use_vmdq_nic ? 1 : params_.num_ports;
-    double line = params_.use_vmdq_nic ? 10e9 : params_.line_bps;
-
+    const double line = params_.use_vmdq_nic ? 10e9 : params_.line_bps;
     for (unsigned i = 0; i < nports; ++i) {
+        Machine &sv = serverOf(i);
+        Machine &cl = clientOf(i);
+        const std::string pi = std::to_string(i);
+
         // Server-side NIC for this port.
         nic::NicPort *server_end = nullptr;
         if (params_.use_vmdq_nic) {
             nic::VmdqNic::VmdqParams vp;
             vmdq_nic_ = std::make_unique<nic::VmdqNic>(
-                eq_, "vmdq0", pci::Bdf{1, 0, 0}, vp);
-            vmdq_nic_->setIommu(&server_->iommu());
-            server_->rootComplex().plug(vmdq_nic_->pf());
+                *sv.eq, "vmdq0", pci::Bdf{1, 0, 0}, vp);
+            vmdq_nic_->setIommu(&sv.hv->iommu());
+            sv.hv->rootComplex().plug(vmdq_nic_->pf());
             vmdq_backend_ = std::make_unique<drivers::VmdqBackend>(
-                *dom0_kern_, *vmdq_nic_, drivers::VmdqBackend::Config{});
+                *sv.dom0, *vmdq_nic_, drivers::VmdqBackend::Config{});
             server_end = vmdq_nic_.get();
         } else {
             nic::SriovNic::SriovParams sp;
@@ -125,23 +162,36 @@ Testbed::buildLegacy()
             // One bus per port so the VF RID windows (PF RID + 0x80 +
             // 2*i) can never collide across ports.
             auto nic = std::make_unique<nic::SriovNic>(
-                eq_, "eth_p" + std::to_string(i),
-                pci::Bdf{std::uint8_t(1 + i), 0, 0}, sp);
-            nic->setIommu(&server_->iommu());
-            iovm_->registerNic(*nic);
-            auto pf = std::make_unique<drivers::PfDriver>(*dom0_kern_,
-                                                          *nic);
+                *sv.eq, "eth_p" + pi, pci::Bdf{std::uint8_t(1 + i), 0, 0},
+                sp);
+            nic->setIommu(&sv.hv->iommu());
+            sv.iovm->registerNic(*nic);
+            auto pf = std::make_unique<drivers::PfDriver>(*sv.dom0, *nic);
             pf->enableVfs(params_.vfs_per_port);
             server_end = nic.get();
             ports_.push_back(std::move(nic));
             pf_drivers_.push_back(std::move(pf));
         }
 
-        // Wire + client-side machine port.
-        nic::Wire::Params wp;
-        wp.line_bps = line;
-        wires_.push_back(std::make_unique<nic::Wire>(eq_, wp));
+        // The port's wire. In a rack it is two hops through the ToR,
+        // server port g <-> ToR and ToR <-> client port g, each its own
+        // full-duplex wire; the relay re-serializes at line rate, so a
+        // steady stream stays steady, just offset by one
+        // store-and-forward latency.
+        nic::Wire *srv_wire = nullptr;    // the wire at the server NIC
+        nic::Wire *cli_wire = nullptr;    // the wire at the client NIC
+        TorRelay::Port *tor_srv = nullptr;
+        TorRelay::Port *tor_cli = nullptr;
+        if (tor_) {
+            srv_wire = &addWire(sv.island, tor_->island, line);
+            tor_srv = &tor_->addPort();
+            cli_wire = &addWire(cl.island, tor_->island, line);
+            tor_cli = &tor_->addPort();
+        } else {
+            srv_wire = cli_wire = &addWire(sv.island, cl.island, line);
+        }
 
+        // Client-side machine port.
         ClientPort cp;
         // The client machine is not under test: give its adapters a
         // fast PCIe path so they never bound the experiment.
@@ -149,179 +199,13 @@ Testbed::buildLegacy()
         cnp.dma.link_bps = 16e9;
         cnp.dma.per_dma_overhead = sim::Time::ns(100);
         cp.nic = std::make_unique<nic::PlainNic>(
-            eq_, "cli_p" + std::to_string(i),
-            pci::Bdf{std::uint8_t(1 + i), 0, 0}, cnp);
-        client_->rootComplex().plug(cp.nic->pf());
-        cp.dom = &client_->createDomain("cli" + std::to_string(i),
-                                        vmm::DomainType::Native,
-                                        64ull << 20);
-        cp.kern = std::make_unique<guest::GuestKernel>(*client_, *cp.dom);
-        drivers::VfDriver::Config dcfg;
-        dcfg.name = "cli_eth" + std::to_string(i);
-        dcfg.mac = nic::MacAddr::make(2, std::uint16_t(i + 1));
-        cp.drv = std::make_unique<drivers::NativeDriver>(*cp.kern, *cp.nic,
-                                                         nic::Pool(0),
-                                                         dcfg);
-        cp.drv->setItrPolicy(std::make_unique<drivers::AdaptiveItr>());
-        cp.drv->init();
-        cp.stack = std::make_unique<guest::NetStack>(*cp.kern);
-        cp.stack->attachDevice(*cp.drv);
-        wires_.back()->connect(*server_end, *cp.nic);
-        server_end->attachWire(*wires_.back());
-        cp.nic->attachWire(*wires_.back());
-
-        // Path-tracer wiring for this port's whole chain. Registration
-        // order is the build order, so component ids (and every
-        // artifact built from them) are reproducible.
-        obs::PathTracer *pt = pathtrace_.get();
-        server_end->setPathTracer(pt);
-        wires_.back()->setPathTracer(
-            pt, pt->registerComponent("wire" + std::to_string(i)));
-        cp.nic->setPathTracer(pt);
-        cp.drv->setPathTracer(
-            pt,
-            pt->registerComponent("cli" + std::to_string(i) + ".drv"));
-        cp.stack->setPathTracer(
-            pt,
-            pt->registerComponent("cli" + std::to_string(i) + ".net"));
-
-        client_ports_.push_back(std::move(cp));
-    }
-
-    // Auxiliary delivery marks: every MSI reaching a router drops a
-    // trace_id-0 record, so flight-recorder dumps show interrupt
-    // activity interleaved with packet trails. Pure observation — the
-    // tap neither schedules nor mutates.
-    auto tapRouter = [this](intr::InterruptRouter &r, const char *name) {
-        std::uint16_t comp = pathtrace_->registerComponent(name);
-        r.addDeliveryTap(
-            [this, comp](pci::Rid, const pci::MsiMessage &) {
-                pathtrace_->mark(comp, obs::PathStage::LapicDeliver,
-                                 eq_.now());
-            });
-    };
-    tapRouter(server_->router(), "server.intr");
-    tapRouter(client_->router(), "client.intr");
-}
-
-void
-Testbed::buildSharded()
-{
-    if (params_.use_vmdq_nic)
-        sim::fatal("sharded testbed: the VMDq topology has no island "
-                   "partition (use --shards=0)");
-
-    engine_ = std::make_unique<sim::ShardEngine>(sim::shardCount());
-
-    vmm::Hypervisor::MachineParams mp;
-    // Multi-host racks replicate the whole per-port structure: global
-    // port g = host * num_ports + local port, every name and BDF keyed
-    // by g so nothing collides across hosts.
-    const unsigned nports = params_.num_ports * params_.num_hosts;
-
-    // Server slices register first so engine island order — the digest
-    // fold order — is slices 0..P-1, clients P..2P-1, fixed by the
-    // partition rather than the worker count.
-    for (unsigned i = 0; i < nports; ++i) {
-        Island s;
-        s.eq = std::make_unique<sim::EventQueue>();
-        s.pt = std::make_unique<obs::PathTracer>();
-        s.pt->setShardHalf(true);
-        s.hv = std::make_unique<vmm::Hypervisor>(*s.eq, params_.costs,
-                                                 mp);
-        params_.opts.apply(*s.hv);
-        s.iovm = std::make_unique<IovManager>(*s.hv);
-        s.dom0 = std::make_unique<guest::GuestKernel>(
-            *s.hv, s.hv->dom0(), guest::KernelVersion::v2_6_28);
-        s.index = engine_->addIsland(*s.eq);
-        slices_.push_back(std::move(s));
-    }
-    for (unsigned i = 0; i < nports; ++i) {
-        Island c;
-        c.eq = std::make_unique<sim::EventQueue>();
-        c.pt = std::make_unique<obs::PathTracer>();
-        c.pt->setShardHalf(true);
-        c.hv = std::make_unique<vmm::Hypervisor>(*c.eq, params_.costs,
-                                                 mp);
-        c.index = engine_->addIsland(*c.eq);
-        client_islands_.push_back(std::move(c));
-    }
-
-    // The ToR relay island registers after every host island so the
-    // digest fold order stays slices, clients, ToR for any host count.
-    if (params_.num_hosts > 1) {
-        tor_ = std::make_unique<TorRelay>();
-        tor_->pt.setShardHalf(true);
-        tor_->index = engine_->addIsland(tor_->eq);
-    }
-
-    for (unsigned i = 0; i < nports; ++i) {
-        Island &sl = slices_[i];
-        Island &cl = client_islands_[i];
-
-        nic::SriovNic::SriovParams sp;
-        sp.total_vfs = std::uint16_t(params_.vfs_per_port);
-        auto nic = std::make_unique<nic::SriovNic>(
-            *sl.eq, "eth_p" + std::to_string(i),
-            pci::Bdf{std::uint8_t(1 + i), 0, 0}, sp);
-        nic->setIommu(&sl.hv->iommu());
-        sl.iovm->registerNic(*nic);
-        auto pf = std::make_unique<drivers::PfDriver>(*sl.dom0, *nic);
-        pf->enableVfs(params_.vfs_per_port);
-        nic::NicPort *server_end = nic.get();
-        ports_.push_back(std::move(nic));
-        pf_drivers_.push_back(std::move(pf));
-
-        // The wire is the island boundary: its sharded form pushes
-        // (due, frame) messages between the two queues with the
-        // propagation delay as engine lookahead. The sharded testbed
-        // strings a 1 km run (5 us) instead of the legacy 100 m patch
-        // cable: conservative sync advances islands at most one
-        // lookahead per round trip, and 500 ns would drown the run in
-        // sync rounds. Identical for every shard count >= 1, so
-        // byte-identity holds; throughput and CPU figures don't see
-        // propagation (open-loop senders), only path latency does.
-        nic::Wire::Params wp;
-        wp.line_bps = params_.line_bps;
-        wp.propagation = sim::Time::us(5);
-        nic::Wire *srv_wire = nullptr;    // the wire at the server NIC
-        nic::Wire *cli_wire = nullptr;    // the wire at the client NIC
-        TorRelay::Port *tor_srv = nullptr;
-        TorRelay::Port *tor_cli = nullptr;
-        if (tor_) {
-            // Two hops through the rack: server port g <-> ToR and
-            // ToR <-> client port g, each its own full-duplex wire with
-            // the same 5 us lookahead. The relay re-serializes at line
-            // rate, so a steady stream stays steady — just offset by
-            // one store-and-forward latency.
-            wires_.push_back(std::make_unique<nic::Wire>(
-                *sl.eq, tor_->eq, *engine_, sl.index, tor_->index, wp));
-            srv_wire = wires_.back().get();
-            tor_srv = &tor_->addPort();
-            wires_.push_back(std::make_unique<nic::Wire>(
-                *cl.eq, tor_->eq, *engine_, cl.index, tor_->index, wp));
-            cli_wire = wires_.back().get();
-            tor_cli = &tor_->addPort();
-        } else {
-            wires_.push_back(std::make_unique<nic::Wire>(
-                *sl.eq, *cl.eq, *engine_, sl.index, cl.index, wp));
-            srv_wire = cli_wire = wires_.back().get();
-        }
-
-        ClientPort cp;
-        nic::PlainNic::Params cnp;
-        cnp.dma.link_bps = 16e9;
-        cnp.dma.per_dma_overhead = sim::Time::ns(100);
-        cp.nic = std::make_unique<nic::PlainNic>(
-            *cl.eq, "cli_p" + std::to_string(i),
-            pci::Bdf{std::uint8_t(1 + i), 0, 0}, cnp);
+            *cl.eq, "cli_p" + pi, pci::Bdf{std::uint8_t(1 + i), 0, 0}, cnp);
         cl.hv->rootComplex().plug(cp.nic->pf());
-        cp.dom = &cl.hv->createDomain("cli" + std::to_string(i),
-                                      vmm::DomainType::Native,
+        cp.dom = &cl.hv->createDomain("cli" + pi, vmm::DomainType::Native,
                                       64ull << 20);
         cp.kern = std::make_unique<guest::GuestKernel>(*cl.hv, *cp.dom);
         drivers::VfDriver::Config dcfg;
-        dcfg.name = "cli_eth" + std::to_string(i);
+        dcfg.name = "cli_eth" + pi;
         dcfg.mac = nic::MacAddr::make(2, std::uint16_t(i + 1));
         cp.drv = std::make_unique<drivers::NativeDriver>(
             *cp.kern, *cp.nic, nic::Pool(0), dcfg);
@@ -332,71 +216,93 @@ Testbed::buildSharded()
         if (tor_) {
             srv_wire->connect(*server_end, *tor_srv);
             cli_wire->connect(*cp.nic, *tor_cli);
-            server_end->attachWire(*srv_wire);
-            cp.nic->attachWire(*cli_wire);
             // Routes: the client NIC's MAC answers on its uplink; the
             // guests behind this port register in addGuest against the
             // server downlink recorded here.
             tor_->addRoute(dcfg.mac, *cli_wire, *tor_cli);
-            tor_->server_down.push_back(
-                TorRelay::Link{srv_wire, tor_srv});
+            tor_->server_down.push_back(TorRelay::Link{srv_wire, tor_srv});
         } else {
             srv_wire->connect(*server_end, *cp.nic);
-            server_end->attachWire(*srv_wire);
-            cp.nic->attachWire(*srv_wire);
         }
+        server_end->attachWire(*srv_wire);
+        cp.nic->attachWire(*cli_wire);
 
-        // Each island stamps into its own tracer (shard-half mode);
-        // pathSnapshot() joins the halves by trace id. Registration
-        // order per tracer is build order, as in the legacy build.
-        server_end->setPathTracer(sl.pt.get());
+        // Path-tracer wiring for this port's whole chain.
+        server_end->setPathTracer(sv.pt);
         if (tor_) {
-            srv_wire->setShardPathTracers(
-                sl.pt.get(),
-                sl.pt->registerComponent("wire" + std::to_string(i)
-                                         + ".s"),
-                &tor_->pt,
-                tor_->pt.registerComponent("wire" + std::to_string(i)
-                                           + ".s"));
-            cli_wire->setShardPathTracers(
-                cl.pt.get(),
-                cl.pt->registerComponent("wire" + std::to_string(i)
-                                         + ".c"),
-                &tor_->pt,
-                tor_->pt.registerComponent("wire" + std::to_string(i)
-                                           + ".c"));
+            traceWire(*srv_wire, sv.island, tor_->island,
+                      "wire" + pi + ".s");
+            traceWire(*cli_wire, cl.island, tor_->island,
+                      "wire" + pi + ".c");
         } else {
-            srv_wire->setShardPathTracers(
-                sl.pt.get(),
-                sl.pt->registerComponent("wire" + std::to_string(i)),
-                cl.pt.get(),
-                cl.pt->registerComponent("wire" + std::to_string(i)));
+            traceWire(*srv_wire, sv.island, cl.island, "wire" + pi);
         }
-        cp.nic->setPathTracer(cl.pt.get());
-        cp.drv->setPathTracer(
-            cl.pt.get(),
-            cl.pt->registerComponent("cli" + std::to_string(i)
-                                     + ".drv"));
+        cp.nic->setPathTracer(cl.pt);
+        cp.drv->setPathTracer(cl.pt,
+                              cl.pt->registerComponent("cli" + pi + ".drv"));
         cp.stack->setPathTracer(
-            cl.pt.get(),
-            cl.pt->registerComponent("cli" + std::to_string(i)
-                                     + ".net"));
+            cl.pt, cl.pt->registerComponent("cli" + pi + ".net"));
 
         client_ports_.push_back(std::move(cp));
-
-        auto tapRouter = [](Island &isl, const char *name) {
-            std::uint16_t comp = isl.pt->registerComponent(name);
-            obs::PathTracer *pt = isl.pt.get();
-            sim::EventQueue *q = isl.eq.get();
-            isl.hv->router().addDeliveryTap(
-                [pt, q, comp](pci::Rid, const pci::MsiMessage &) {
-                    pt->mark(comp, obs::PathStage::LapicDeliver,
-                             q->now());
-                });
-        };
-        tapRouter(sl, "server.intr");
-        tapRouter(cl, "client.intr");
     }
+
+    // Auxiliary delivery marks: every MSI reaching a router drops a
+    // trace_id-0 record, so flight-recorder dumps show interrupt
+    // activity interleaved with packet trails. Pure observation — the
+    // tap neither schedules nor mutates.
+    auto tapRouter = [](Machine &m, const char *name) {
+        std::uint16_t comp = m.pt->registerComponent(name);
+        obs::PathTracer *pt = m.pt;
+        sim::EventQueue *q = m.eq;
+        m.hv->router().addDeliveryTap(
+            [pt, q, comp](pci::Rid, const pci::MsiMessage &) {
+                pt->mark(comp, obs::PathStage::LapicDeliver, q->now());
+            });
+    };
+    for (Machine &s : servers_)
+        tapRouter(s, "server.intr");
+    for (Machine &c : clients_)
+        tapRouter(c, "client.intr");
+}
+
+nic::Wire &
+Testbed::addWire(unsigned island_a, unsigned island_b, double line_bps)
+{
+    nic::Wire::Params wp;
+    wp.line_bps = line_bps;
+    if (island_a == island_b) {
+        wires_.push_back(
+            std::make_unique<nic::Wire>(*queues_[island_a], wp));
+        return *wires_.back();
+    }
+    // Across islands the wire is the engine edge: it pushes (due,
+    // frame) messages between the two queues with the propagation
+    // delay as lookahead. Conservative sync advances islands at most
+    // one lookahead per round trip, and the 100 m patch cable's 500 ns
+    // would drown the run in sync rounds, so a partition strings a
+    // 1 km run (5 us) instead. The partition is the same for every
+    // shard count >= 1, so byte-identity holds; throughput and CPU
+    // figures don't see propagation (open-loop senders), only path
+    // latency does.
+    wp.propagation = sim::Time::us(5);
+    wires_.push_back(std::make_unique<nic::Wire>(
+        *queues_[island_a], *queues_[island_b], *engine_, island_a,
+        island_b, wp));
+    return *wires_.back();
+}
+
+void
+Testbed::traceWire(nic::Wire &w, unsigned island_a, unsigned island_b,
+                   const std::string &name)
+{
+    obs::PathTracer *a = tracers_[island_a].get();
+    if (island_a == island_b) {
+        w.setPathTracer(a, a->registerComponent(name));
+        return;
+    }
+    obs::PathTracer *b = tracers_[island_b].get();
+    w.setShardPathTracers(a, a->registerComponent(name), b,
+                          b->registerComponent(name));
 }
 
 // simlint: fluid-settle
@@ -417,28 +323,20 @@ Testbed::buildFluid()
         return;
     // CPU work submitted by netback captures whole frame batches in
     // its completion closures — state a warp cannot rewrite — so the
-    // coordinator refuses to warp while any is in flight. (A sharded
-    // build refuses PV guests, so there the gate is only a safety net.)
+    // coordinator refuses to warp while any is in flight. (A partition
+    // refuses PV guests, so there the gate is only a safety net.)
     auto gate = [this]() {
         static const char *const opaque[] = {"dom0-netback"};
-        auto idle = [](vmm::Hypervisor &hv) {
-            for (unsigned i = 0; i < hv.pcpuCount(); ++i) {
-                if (hv.pcpu(i).hasWorkTagged(opaque, 1))
-                    return false;
+        auto idle = [](std::vector<Machine> &machines) {
+            for (Machine &m : machines) {
+                for (unsigned i = 0; i < m.hv->pcpuCount(); ++i) {
+                    if (m.hv->pcpu(i).hasWorkTagged(opaque, 1))
+                        return false;
+                }
             }
             return true;
         };
-        if (!sharded())
-            return idle(*server_) && idle(*client_);
-        for (Island &s : slices_) {
-            if (!idle(*s.hv))
-                return false;
-        }
-        for (Island &c : client_islands_) {
-            if (!idle(*c.hv))
-                return false;
-        }
-        return true;
+        return idle(servers_) && idle(clients_);
     };
     coordinator_ = std::make_unique<WarpCoordinator>(
         *engine_, [this](sim::FluidVisitor &v) { fluidVisit(v); },
@@ -453,7 +351,7 @@ Testbed::eq()
     if (sharded())
         sim::fatal("testbed: eq() on a sharded testbed (one queue per "
                    "island; use run()/orderDigest()/executedEvents())");
-    return eq_;
+    return *queues_.front();
 }
 
 vmm::Hypervisor &
@@ -462,7 +360,7 @@ Testbed::server()
     if (sharded())
         sim::fatal("testbed: server() on a sharded testbed (one "
                    "hypervisor per slice)");
-    return *server_;
+    return *servers_.front().hv;
 }
 
 vmm::Hypervisor &
@@ -471,7 +369,7 @@ Testbed::client()
     if (sharded())
         sim::fatal("testbed: client() on a sharded testbed (one "
                    "hypervisor per client island)");
-    return *client_;
+    return *clients_.front().hv;
 }
 
 IovManager &
@@ -480,7 +378,7 @@ Testbed::iovm()
     if (sharded())
         sim::fatal("testbed: iovm() on a sharded testbed (one manager "
                    "per slice)");
-    return *iovm_;
+    return *servers_.front().iovm;
 }
 
 vmm::MigrationManager &
@@ -498,16 +396,7 @@ Testbed::dom0Kernel()
     if (sharded())
         sim::fatal("testbed: dom0Kernel() on a sharded testbed (one "
                    "dom0 per slice)");
-    return *dom0_kern_;
-}
-
-obs::PathTracer &
-Testbed::pathTracer()
-{
-    if (sharded())
-        sim::fatal("testbed: pathTracer() on a sharded testbed (use "
-                   "pathSnapshot())");
-    return *pathtrace_;
+    return *servers_.front().dom0;
 }
 
 const obs::PathTracer &
@@ -516,7 +405,7 @@ Testbed::pathTracer() const
     if (sharded())
         sim::fatal("testbed: pathTracer() on a sharded testbed (use "
                    "pathSnapshot())");
-    return *pathtrace_;
+    return *tracers_.front();
 }
 
 void
@@ -533,9 +422,7 @@ Testbed::run(sim::Time dt)
 sim::Time
 Testbed::now() const
 {
-    if (sharded())
-        return slices_.front().eq->now();
-    return eq_.now();
+    return queues_.front()->now();
 }
 
 std::uint64_t
@@ -547,22 +434,19 @@ Testbed::executedEvents() const
 std::uint64_t
 Testbed::orderDigest() const
 {
-    return sharded() ? engine_->foldedDigest() : eq_.orderDigest();
+    return sharded() ? engine_->foldedDigest()
+                     : queues_.front()->orderDigest();
 }
 
 obs::PathSnapshot
 Testbed::pathSnapshot() const
 {
     if (!sharded())
-        return pathtrace_->snapshot();
+        return tracers_.front()->snapshot();
     std::vector<const obs::PathTracer *> parts;
-    parts.reserve(slices_.size() + client_islands_.size() + 1);
-    for (const Island &s : slices_)
-        parts.push_back(s.pt.get());
-    for (const Island &c : client_islands_)
-        parts.push_back(c.pt.get());
-    if (tor_)
-        parts.push_back(&tor_->pt);
+    parts.reserve(tracers_.size());
+    for (const auto &pt : tracers_)
+        parts.push_back(pt.get());
     return obs::PathTracer::mergeShards(parts);
 }
 
@@ -595,8 +479,8 @@ Testbed::netback(unsigned port)
     if (it == netbacks_.end()) {
         drivers::NetbackDriver::Config cfg;
         cfg.num_threads = params_.netback_threads;
-        auto nb = std::make_unique<drivers::NetbackDriver>(*dom0_kern_,
-                                                           cfg);
+        auto nb = std::make_unique<drivers::NetbackDriver>(
+            *servers_.front().dom0, cfg);
         nb->attachPhysical(serverNic(port));
         it = netbacks_.emplace(port, std::move(nb)).first;
     }
@@ -614,11 +498,10 @@ Testbed::addGuest(vmm::DomainType type, NetMode mode,
     unsigned idx = unsigned(guests_.size());
     unsigned port = params_.use_vmdq_nic ? 0 : idx % portCount();
 
-    // The machine context the guest builds against: its port's server
-    // slice in sharded mode, the single server machine otherwise.
-    vmm::Hypervisor &hv = sharded() ? *slices_[port].hv : *server_;
-    obs::PathTracer &pt = sharded() ? *slices_[port].pt : *pathtrace_;
-    IovManager &iovmgr = sharded() ? *slices_[port].iovm : *iovm_;
+    // The server machine the guest builds against.
+    Machine &sv = serverOf(port);
+    vmm::Hypervisor &hv = *sv.hv;
+    obs::PathTracer &pt = *sv.pt;
 
     auto g = std::make_unique<Guest>();
     g->mac = guestMac(idx);
@@ -643,7 +526,7 @@ Testbed::addGuest(vmm::DomainType type, NetMode mode,
         unsigned vf_index = next_vf_on_port_[port]++;
         if (vf_index >= nic.numVfs())
             sim::fatal("port %u out of VFs", port);
-        iovmgr.assign(*g->dom, nic, vf_index);
+        sv.iovm->assign(*g->dom, nic, vf_index);
         drivers::VfDriver::Config cfg;
         cfg.name = "eth0";
         cfg.mac = g->mac;
@@ -693,8 +576,8 @@ Testbed::addGuest(vmm::DomainType type, NetMode mode,
     }
 
     g->stack->attachDevice(*g->netdev);
-    if (ObsHooks *oh = obsFor(port))
-        installDomainObs(*oh, *g->dom);
+    if (sv.obs)
+        installDomainObs(*sv.obs, *g->dom);
     guests_.push_back(std::move(g));
     return *guests_.back();
 }
@@ -710,19 +593,17 @@ guest::UdpStreamSender &
 Testbed::startUdpToGuestFrom(unsigned client_port, Guest &g,
                              double offered_bps, std::uint32_t payload)
 {
-    sim::EventQueue &rx_eq = sharded() ? *slices_[g.port].eq : eq_;
-    sim::EventQueue &tx_eq =
-        sharded() ? *client_islands_[client_port].eq : eq_;
     if (client_port != g.port && !tor_)
         sim::fatal("cross-port stream needs the ToR relay "
                    "(Params.num_hosts > 1)");
     if (!g.rx) {
         g.rx = std::make_unique<guest::StreamReceiver>(
-            rx_eq, *g.stack, guest::StreamReceiver::Proto::Udp);
+            *serverOf(g.port).eq, *g.stack,
+            guest::StreamReceiver::Proto::Udp);
     }
     auto &cs = *client_ports_.at(client_port).stack;
     udp_senders_.push_back(std::make_unique<guest::UdpStreamSender>(
-        tx_eq, cs, g.mac, offered_bps, payload,
+        *clientOf(client_port).eq, cs, g.mac, offered_bps, payload,
         std::uint32_t(guests_.size())));
     udp_senders_.back()->start();
     return *udp_senders_.back();
@@ -732,17 +613,18 @@ guest::TcpStreamSender &
 Testbed::startTcpToGuest(Guest &g, std::uint32_t window,
                          std::uint32_t payload)
 {
-    sim::EventQueue &rx_eq = sharded() ? *slices_[g.port].eq : eq_;
-    sim::EventQueue &tx_eq = sharded() ? *client_islands_[g.port].eq : eq_;
+    Machine &sv = serverOf(g.port);
     if (!g.rx) {
         g.rx = std::make_unique<guest::StreamReceiver>(
-            rx_eq, *g.stack, guest::StreamReceiver::Proto::Tcp);
+            *sv.eq, *g.stack, guest::StreamReceiver::Proto::Tcp);
     }
     auto &cs = *client_ports_.at(g.port).stack;
     tcp_senders_.push_back(std::make_unique<guest::TcpStreamSender>(
-        tx_eq, cs, g.mac, window, payload));
-    if (obs_)
-        tcp_senders_.back()->setRttTap(&obs_->tcp_rtt_us);
+        *clientOf(g.port).eq, cs, g.mac, window, payload));
+    // On a partition the RTT tap would cross islands (sender on the
+    // client island, histogram on the slice): a single island only.
+    if (!sharded() && sv.obs)
+        tcp_senders_.back()->setRttTap(&sv.obs->tcp_rtt_us);
     tcp_senders_.back()->start();
     return *tcp_senders_.back();
 }
@@ -755,26 +637,22 @@ Testbed::dom0Net(unsigned port)
                    "slice and is not shardable (use --shards=0)");
     auto it = dom0_ports_.find(port);
     if (it == dom0_ports_.end()) {
+        Machine &sv = servers_.front();
+        const std::string name = "dom0_eth" + std::to_string(port);
         Dom0Port dp;
         drivers::VfDriver::Config cfg;
-        cfg.name = "dom0_eth" + std::to_string(port);
+        cfg.name = name;
         cfg.mac = nic::MacAddr::make(3, std::uint16_t(port + 1));
         dp.drv = std::make_unique<drivers::VfDriver>(
-            *dom0_kern_, serverNic(port), nic::Pool(0), cfg);
+            *sv.dom0, serverNic(port), nic::Pool(0), cfg);
         dp.drv->setItrPolicy(std::make_unique<drivers::AdaptiveItr>());
-        dp.drv->setPathTracer(
-            pathtrace_.get(),
-            pathtrace_->registerComponent("dom0_eth"
-                                          + std::to_string(port)
-                                          + ".drv"));
+        dp.drv->setPathTracer(sv.pt,
+                              sv.pt->registerComponent(name + ".drv"));
         dp.drv->init();
-        dp.stack = std::make_unique<guest::NetStack>(*dom0_kern_);
+        dp.stack = std::make_unique<guest::NetStack>(*sv.dom0);
         dp.stack->attachDevice(*dp.drv);
-        dp.stack->setPathTracer(
-            pathtrace_.get(),
-            pathtrace_->registerComponent("dom0_eth"
-                                          + std::to_string(port)
-                                          + ".net"));
+        dp.stack->setPathTracer(sv.pt,
+                                sv.pt->registerComponent(name + ".net"));
         it = dom0_ports_.emplace(port, std::move(dp)).first;
     }
     return *it->second.stack;
@@ -787,12 +665,13 @@ Testbed::startUdpFromDom0(Guest &g, double offered_bps,
     if (sharded())
         sim::fatal("sharded testbed: dom0 senders are not shardable "
                    "(use --shards=0)");
+    sim::EventQueue &eq = *queues_.front();
     if (!g.rx) {
         g.rx = std::make_unique<guest::StreamReceiver>(
-            eq_, *g.stack, guest::StreamReceiver::Proto::Udp);
+            eq, *g.stack, guest::StreamReceiver::Proto::Udp);
     }
     udp_senders_.push_back(std::make_unique<guest::UdpStreamSender>(
-        eq_, dom0Net(g.port), g.mac, offered_bps, payload, 9000));
+        eq, dom0Net(g.port), g.mac, offered_bps, payload, 9000));
     udp_senders_.back()->start();
     return *udp_senders_.back();
 }
@@ -804,12 +683,13 @@ Testbed::startUdpGuestToGuest(Guest &from, Guest &to, double offered_bps,
     if (sharded())
         sim::fatal("sharded testbed: guest-to-guest traffic is not "
                    "shardable (use --shards=0)");
+    sim::EventQueue &eq = *queues_.front();
     if (!to.rx) {
         to.rx = std::make_unique<guest::StreamReceiver>(
-            eq_, *to.stack, guest::StreamReceiver::Proto::Udp);
+            eq, *to.stack, guest::StreamReceiver::Proto::Udp);
     }
     udp_senders_.push_back(std::make_unique<guest::UdpStreamSender>(
-        eq_, *from.stack, to.mac, offered_bps, payload, 9001));
+        eq, *from.stack, to.mac, offered_bps, payload, 9001));
     udp_senders_.back()->start();
     return *udp_senders_.back();
 }
@@ -818,16 +698,11 @@ Testbed::Measurement
 Testbed::measure(sim::Time warmup, sim::Time window)
 {
     run(warmup);
-    // One utilization snapshot per hypervisor: the single server
-    // machine, or every server slice (index-aligned with slices_).
+    // One utilization snapshot per server machine.
     std::vector<vmm::Hypervisor::UtilSnapshot> snaps;
-    if (sharded()) {
-        snaps.reserve(slices_.size());
-        for (Island &s : slices_)
-            snaps.push_back(s.hv->snapshot());
-    } else {
-        snaps.push_back(server_->snapshot());
-    }
+    snaps.reserve(servers_.size());
+    for (Machine &s : servers_)
+        snaps.push_back(s.hv->snapshot());
     for (auto &g : guests_) {
         if (g->rx)
             g->rx->takeThroughputBps();    // re-mark the window
@@ -841,17 +716,13 @@ Testbed::measure(sim::Time warmup, sim::Time window)
         m.per_guest_bps.push_back(bps);
         m.total_goodput_bps += bps;
     }
-    if (sharded()) {
-        // Every slice machine has the legacy server's CPU complement,
-        // so summing per-slice percentages keeps the legacy scale
-        // (port work that shared 16 pCPUs now adds across slices).
-        for (std::size_t k = 0; k < slices_.size(); ++k) {
-            for (const auto &[tag, pct] :
-                 slices_[k].hv->cpuPercentByTag(snaps[k]))
-                m.cpu_by_tag[tag] += pct;
-        }
-    } else {
-        m.cpu_by_tag = server_->cpuPercentByTag(snaps[0]);
+    // Every slice has the whole server's CPU complement, so summing
+    // per-slice percentages keeps the single machine's scale (port
+    // work that shared 16 pCPUs adds across slices).
+    for (std::size_t k = 0; k < servers_.size(); ++k) {
+        for (const auto &[tag, pct] :
+             servers_[k].hv->cpuPercentByTag(snaps[k]))
+            m.cpu_by_tag[tag] += pct;
     }
     for (const auto &[tag, pct] : m.cpu_by_tag) {
         m.total_pct += pct;
@@ -885,38 +756,26 @@ Testbed::ObsHooks::ObsHooks()
 Testbed::ObsHooks &
 Testbed::enableObs()
 {
-    if (sharded()) {
-        // One ObsHooks set per server slice: histogram inserts are
-        // island-local, so workers never share a tap. The TCP RTT tap
-        // is the one cross-island hook (sender on the client island,
-        // histogram on a slice) and is skipped in sharded mode.
-        if (!slices_.front().obs) {
-            for (std::size_t i = 0; i < slices_.size(); ++i) {
-                Island &s = slices_[i];
-                s.obs = std::make_unique<ObsHooks>();
-                s.hv->setIntrLatencyHistogram(&s.obs->intr_latency_us);
-                installDomainObs(*s.obs, s.hv->dom0());
-                installRingObs(*s.obs, *ports_[i]);
-            }
-            for (auto &g : guests_)
-                installDomainObs(*slices_[g->port].obs, *g->dom);
+    // One histogram set per server machine: inserts stay island-local,
+    // so workers never share a tap.
+    if (!servers_.front().obs) {
+        for (Machine &s : servers_) {
+            s.obs = std::make_unique<ObsHooks>();
+            s.hv->setIntrLatencyHistogram(&s.obs->intr_latency_us);
+            installDomainObs(*s.obs, s.hv->dom0());
         }
-        return *slices_.front().obs;
+        for (auto &g : guests_)
+            installDomainObs(*serverOf(g->port).obs, *g->dom);
+        for (unsigned i = 0; i < portCount(); ++i)
+            installRingObs(*serverOf(i).obs, *ports_[i]);
+        if (vmdq_nic_)
+            installRingObs(*servers_.front().obs, *vmdq_nic_);
+        if (!sharded()) {
+            for (auto &s : tcp_senders_)
+                s->setRttTap(&servers_.front().obs->tcp_rtt_us);
+        }
     }
-    if (obs_)
-        return *obs_;
-    obs_ = std::make_unique<ObsHooks>();
-    server_->setIntrLatencyHistogram(&obs_->intr_latency_us);
-    installDomainObs(*obs_, server_->dom0());
-    for (auto &g : guests_)
-        installDomainObs(*obs_, *g->dom);
-    for (auto &p : ports_)
-        installRingObs(*obs_, *p);
-    if (vmdq_nic_)
-        installRingObs(*obs_, *vmdq_nic_);
-    for (auto &s : tcp_senders_)
-        s->setRttTap(&obs_->tcp_rtt_us);
-    return *obs_;
+    return *servers_.front().obs;
 }
 
 void
@@ -966,26 +825,27 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
     // figXX.perf.json sidecar instead, keeping figXX.json reports
     // byte-identical between thinned and --no-thin runs (CI diffs
     // them).
+    //
+    // Interrupt totals: the server's own counters on a single island;
+    // on a partition, gauges summing the slice routers (all server-side
+    // deliveries either way, but reports print each metric's kind).
     if (sharded()) {
-        // Per-slice routers: export the slice sum so the metric keeps
-        // its legacy meaning (all server-side deliveries).
         reg.addGauge(path("intr.delivered"), [this]() {
             double v = 0;
-            for (const Island &s : slices_)
+            for (const Machine &s : servers_)
                 v += double(s.hv->router().deliveredCounter().value());
             return v;
         });
         reg.addGauge(path("intr.spurious"), [this]() {
             double v = 0;
-            for (const Island &s : slices_)
+            for (const Machine &s : servers_)
                 v += double(s.hv->router().spuriousCounter().value());
             return v;
         });
     } else {
-        reg.add(path("intr.delivered"),
-                &server_->router().deliveredCounter());
-        reg.add(path("intr.spurious"),
-                &server_->router().spuriousCounter());
+        vmm::Hypervisor &hv = *servers_.front().hv;
+        reg.add(path("intr.delivered"), &hv.router().deliveredCounter());
+        reg.add(path("intr.spurious"), &hv.router().spuriousCounter());
     }
 
     // Pool statistics register as bounds-checking gauges: VF disable
@@ -1044,22 +904,19 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
         reg.addGauge(path(name + ".vm_exit_cycles"),
                      [&dom]() { return dom.exits().totalCycles(); });
     };
-    if (sharded()) {
-        reg.addGauge(path("dom0.vm_exits"), [this]() {
-            double v = 0;
-            for (const Island &s : slices_)
-                v += double(s.hv->dom0().exits().totalCount());
-            return v;
-        });
-        reg.addGauge(path("dom0.vm_exit_cycles"), [this]() {
-            double v = 0;
-            for (const Island &s : slices_)
-                v += double(s.hv->dom0().exits().totalCycles());
-            return v;
-        });
-    } else {
-        addDomain(server_->dom0(), "dom0");
-    }
+    // dom0 sums the server machines' dom0s (one, or one per slice).
+    reg.addGauge(path("dom0.vm_exits"), [this]() {
+        double v = 0;
+        for (const Machine &s : servers_)
+            v += s.hv->dom0().exits().totalCount();
+        return v;
+    });
+    reg.addGauge(path("dom0.vm_exit_cycles"), [this]() {
+        double v = 0;
+        for (const Machine &s : servers_)
+            v += s.hv->dom0().exits().totalCycles();
+        return v;
+    });
     for (std::size_t g = 0; g < guests_.size(); ++g) {
         std::string name = "vm" + std::to_string(g);
         addDomain(*guests_[g]->dom, name);
@@ -1073,36 +930,25 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
         });
     }
 
-    if (sharded()) {
-        // One histogram block per slice ("hist.s3.*"): merging
-        // log-bucketed histograms would lose counts, and the per-slice
-        // form is still byte-stable across shard counts.
-        for (std::size_t k = 0; k < slices_.size(); ++k) {
-            const Island &s = slices_[k];
-            if (!s.obs)
-                continue;
-            std::string hp = "hist.s" + std::to_string(k) + ".";
-            reg.add(path(hp + "intr_latency_us"),
-                    &s.obs->intr_latency_us);
-            reg.add(path(hp + "ring_occupancy"),
-                    &s.obs->ring_occupancy);
-            for (unsigned r = 0; r < unsigned(vmm::ExitReason::Count);
-                 ++r) {
-                reg.add(path(hp + "exit_cost."
-                             + metricName(vmm::exitReasonName(
-                                 vmm::ExitReason(r)))),
-                        &s.obs->exit_cost_cycles[r]);
-            }
-        }
-    } else if (obs_) {
-        reg.add(path("hist.intr_latency_us"), &obs_->intr_latency_us);
-        reg.add(path("hist.ring_occupancy"), &obs_->ring_occupancy);
-        reg.add(path("hist.tcp_rtt_us"), &obs_->tcp_rtt_us);
+    // One histogram block per server machine: "hist.*" on a single
+    // island, "hist.s3.*" per slice — merging log-bucketed histograms
+    // would lose counts, and the per-slice form is still byte-stable
+    // across shard counts. Only a single island has the TCP RTT one.
+    for (std::size_t k = 0; k < servers_.size(); ++k) {
+        const Machine &s = servers_[k];
+        if (!s.obs)
+            continue;
+        const std::string hp =
+            sharded() ? "hist.s" + std::to_string(k) + "." : "hist.";
+        reg.add(path(hp + "intr_latency_us"), &s.obs->intr_latency_us);
+        reg.add(path(hp + "ring_occupancy"), &s.obs->ring_occupancy);
+        if (!sharded())
+            reg.add(path(hp + "tcp_rtt_us"), &s.obs->tcp_rtt_us);
         for (unsigned r = 0; r < unsigned(vmm::ExitReason::Count); ++r) {
-            reg.add(path("hist.exit_cost."
+            reg.add(path(hp + "exit_cost."
                          + metricName(
                              vmm::exitReasonName(vmm::ExitReason(r)))),
-                    &obs_->exit_cost_cycles[r]);
+                    &s.obs->exit_cost_cycles[r]);
         }
     }
 }
@@ -1110,107 +956,57 @@ Testbed::registerMetrics(obs::MetricRegistry &reg, const std::string &prefix)
 void
 Testbed::attachObsTrace(obs::ChromeTraceWriter &w)
 {
-    if (sharded()) {
-        // Attaching installs queue observers, so the next run degrades
-        // to the sequential schedule — same results, full trace.
-        for (std::size_t i = 0; i < slices_.size(); ++i) {
-            const std::string si = std::to_string(i);
-            w.attachEventQueue(*slices_[i].eq, "sim.s" + si);
-            vmm::Hypervisor &hv = *slices_[i].hv;
+    // Track names: one "sim" queue with "server" and "client" CPUs on a
+    // single island; per island "sim.s<i>"/"sim.c<i>" queues and
+    // "server.s<i>"/"client.s<i>" CPUs on a partition. There, attaching
+    // installs queue observers, so the next run degrades to the
+    // sequential schedule — same results, full trace.
+    if (!sharded())
+        w.attachEventQueue(*queues_.front(), "sim");
+    auto attach = [&](std::vector<Machine> &machines, const char *role,
+                      const char *queue) {
+        for (std::size_t i = 0; i < machines.size(); ++i) {
+            std::string track = role;
+            if (sharded()) {
+                const std::string si = std::to_string(i);
+                w.attachEventQueue(*machines[i].eq, queue + si);
+                track += ".s" + si;
+            }
+            vmm::Hypervisor &hv = *machines[i].hv;
             for (unsigned c = 0; c < hv.pcpuCount(); ++c)
-                w.attachCpu(hv.pcpu(c), "server.s" + si);
+                w.attachCpu(hv.pcpu(c), track);
         }
-        for (std::size_t i = 0; i < client_islands_.size(); ++i) {
-            const std::string si = std::to_string(i);
-            w.attachEventQueue(*client_islands_[i].eq, "sim.c" + si);
-            vmm::Hypervisor &hv = *client_islands_[i].hv;
-            for (unsigned c = 0; c < hv.pcpuCount(); ++c)
-                w.attachCpu(hv.pcpu(c), "client.s" + si);
-        }
-        return;
-    }
-    w.attachEventQueue(eq_, "sim");
-    for (unsigned i = 0; i < server_->pcpuCount(); ++i)
-        w.attachCpu(server_->pcpu(i), "server");
-    for (unsigned i = 0; i < client_->pcpuCount(); ++i)
-        w.attachCpu(client_->pcpu(i), "client");
-}
-
-Testbed::ObsHooks *
-Testbed::obsFor(unsigned port)
-{
-    if (sharded())
-        return slices_.at(port).obs.get();
-    return obs_.get();
+    };
+    attach(servers_, "server", "sim.s");
+    attach(clients_, "client", "sim.c");
 }
 
 void
 Testbed::fluidVisit(sim::FluidVisitor &v)
 {
-    if (sharded()) {
-        // Sharded walk, island build order (slices then clients, the
-        // engine index order) — only legal at a quiescent barrier:
-        // wires_ includes the cross-island channels' in-flight frames.
-        // The partition is fixed for every shard count >= 1, so the
-        // slot sequence — and with it every warp decision — is
-        // byte-identical across shard counts.
-        for (Island &s : slices_) {
-            s.hv->fluidVisit(v);
-            s.dom0->fluidVisit(v);
-        }
-        for (Island &c : client_islands_)
-            c.hv->fluidVisit(v);
-        for (auto &n : ports_)
-            n->fluidVisit(v);
-        for (auto &w : wires_)
-            w->fluidVisit(v);
-        // The ToR relay is stateless between wire hops; its drop
-        // counter is the only scalar (zero-delta when nothing is
-        // misrouted, and any misroute mid-probe rightly fails the
-        // certificate).
-        if (tor_)
-            v.u64("tor.unroutable", tor_->unroutable_drops);
-        for (auto &pf : pf_drivers_)
-            pf->fluidVisit(v);
-        for (ClientPort &cp : client_ports_) {
-            cp.nic->fluidVisit(v);
-            cp.kern->fluidVisit(v);
-            cp.drv->fluidVisit(v);
-            cp.stack->fluidVisit(v);
-        }
-        for (auto &gp : guests_) {
-            Guest &g = *gp;
-            g.kern->fluidVisit(v);
-            g.stack->fluidVisit(v);
-            if (g.vf)
-                g.vf->fluidVisit(v);
-            if (g.rx)
-                g.rx->fluidVisit(v);
-        }
-        for (auto &s : udp_senders_)
-            s->fluidVisit(v);
-        for (auto &s : tcp_senders_)
-            s->fluidVisit(v);
-        for (Island &s : slices_) {
-            if (!s.obs)
-                continue;
-            s.obs->intr_latency_us.fluidVisit(v, "obs.intr_latency");
-            for (auto &h : s.obs->exit_cost_cycles)
-                h.fluidVisit(v, "obs.exit_cost");
-            s.obs->ring_occupancy.fluidVisit(v, "obs.ring_occupancy");
-        }
-        return;
-    }
-    // Build order, so the slot sequence is reproducible run to run.
-    server_->fluidVisit(v);
-    client_->fluidVisit(v);
-    dom0_kern_->fluidVisit(v);
+    // Build order, so the slot sequence is reproducible run to run. The
+    // partition is fixed for every shard count >= 1, so there the slot
+    // sequence — and with it every warp decision — is byte-identical
+    // across shard counts. On a partition the walk is only legal at a
+    // quiescent barrier: wires_ includes the cross-island channels'
+    // in-flight frames.
+    for (Machine &s : servers_)
+        s.hv->fluidVisit(v);
+    for (Machine &c : clients_)
+        c.hv->fluidVisit(v);
+    for (Machine &s : servers_)
+        s.dom0->fluidVisit(v);
     for (auto &n : ports_)
         n->fluidVisit(v);
     if (vmdq_nic_)
         vmdq_nic_->fluidVisit(v);
     for (auto &w : wires_)
         w->fluidVisit(v);
+    // The ToR relay is stateless between wire hops; its drop counter
+    // is the only scalar (zero-delta when nothing is misrouted, and any
+    // misroute mid-probe rightly fails the certificate).
+    if (tor_)
+        v.u64("tor.unroutable", tor_->unroutable_drops);
     for (auto &pf : pf_drivers_)
         pf->fluidVisit(v);
     for (auto &[port, nb] : netbacks_)
@@ -1244,12 +1040,15 @@ Testbed::fluidVisit(sim::FluidVisitor &v)
         s->fluidVisit(v);
     for (auto &s : tcp_senders_)
         s->fluidVisit(v);
-    if (obs_) {
-        obs_->intr_latency_us.fluidVisit(v, "obs.intr_latency");
-        for (auto &h : obs_->exit_cost_cycles)
+    for (Machine &s : servers_) {
+        if (!s.obs)
+            continue;
+        s.obs->intr_latency_us.fluidVisit(v, "obs.intr_latency");
+        for (auto &h : s.obs->exit_cost_cycles)
             h.fluidVisit(v, "obs.exit_cost");
-        obs_->ring_occupancy.fluidVisit(v, "obs.ring_occupancy");
-        obs_->tcp_rtt_us.fluidVisit(v, "obs.tcp_rtt");
+        s.obs->ring_occupancy.fluidVisit(v, "obs.ring_occupancy");
+        if (!sharded())
+            s.obs->tcp_rtt_us.fluidVisit(v, "obs.tcp_rtt");
     }
     // Deliberately unvisited: the path tracer (trails have gaps over
     // warped spans by design), migration and the IOV manager (control
@@ -1283,8 +1082,8 @@ Testbed::watchAll(check::InvariantChecker &chk)
     }
     for (std::size_t i = 0; i < wires_.size(); ++i)
         chk.watchWire("wire" + std::to_string(i), *wires_[i]);
-    chk.watchRouter(server_->router());
-    chk.watchRouter(client_->router());
+    chk.watchRouter(servers_.front().hv->router());
+    chk.watchRouter(clients_.front().hv->router());
     for (const ClientPort &cp : client_ports_) {
         if (cp.nic)
             chk.watchFunction(cp.nic->pf());
@@ -1296,7 +1095,7 @@ Testbed::watchAll(check::InvariantChecker &chk)
                            dom.vcpu(v).vlapic().chip());
         }
     };
-    watchDomainLapics(server_->dom0(), "dom0");
+    watchDomainLapics(servers_.front().hv->dom0(), "dom0");
     for (std::size_t g = 0; g < guests_.size(); ++g) {
         if (guests_[g]->dom != nullptr) {
             watchDomainLapics(*guests_[g]->dom,
@@ -1304,7 +1103,7 @@ Testbed::watchAll(check::InvariantChecker &chk)
         }
     }
     // Violation reports carry the flight recorder's packet trails.
-    chk.attachPathTracer(pathtrace_.get());
+    chk.attachPathTracer(tracers_.front().get());
 }
 
 } // namespace sriov::core

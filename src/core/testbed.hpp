@@ -2,7 +2,7 @@
  * @file
  * Testbed: the paper's experimental setup in a box (Section 6.1).
  *
- * Builds two machines on one event queue:
+ * Builds two machines:
  *  - "server": dual quad-core Xeon 5500 (16 SMT threads @ 2.8 GHz,
  *    12 GiB), Xen-3.4-like hypervisor, dom0 with 8 VCPUs pinned to
  *    threads 0–7, and ten 82576-like 1 GbE SR-IOV ports (7 VFs each,
@@ -15,22 +15,28 @@
  * version; guest i lands on port i mod num_ports, taking that port's
  * next VF — exactly VF_{7j+n} of the paper.
  *
- * With sim::shardCount() != 0 at construction the testbed builds in
- * *sharded* form (DESIGN.md §13): each port becomes two islands — a
- * server slice (its own EventQueue, hypervisor, dom0 kernel, IOV
- * manager and path tracer, owning that port's NIC, PF driver and
- * guests) and a client island (queue, hypervisor, netperf peer) — and
- * the inter-machine wire is the only cross-island edge, run by a
- * conservative sim::ShardEngine on up to shardCount() worker threads.
- * Island order is fixed (server slices 0..P-1, then clients P..2P-1),
- * so orderDigest()/pathSnapshot() are byte-identical for every shard
- * count >= 1. Only the SR-IOV UDP/TCP netperf topology is shardable;
- * PV/VMDq/netback, dom0 traffic, guest-to-guest, bonding and migration
- * need intra-host coupling and refuse sharded construction. The
- * sharded machine model differs from the legacy one (per-slice
- * hypervisors do not contend across ports), so results are compared
- * across shard counts, never against --shards=0. Both forms run on a
- * sim::ShardEngine: the legacy machine is its single island.
+ * One builder lays the machines out over a partition into islands
+ * (each an EventQueue and a path tracer), read from sim::shardCount()
+ * at construction (DESIGN.md §13):
+ *  - shardCount() == 0: one island holds one server and one client
+ *    machine — every port, guest and wire on one queue.
+ *  - shardCount() >= 1: every port becomes a server slice (its own
+ *    hypervisor, dom0 kernel and IOV manager, owning that port's NIC,
+ *    PF driver and guests) and a client island (hypervisor, netperf
+ *    peer); a rack (Params::num_hosts > 1) adds one top-of-rack relay
+ *    island. Island order is fixed (slices 0..P-1, clients P..2P-1,
+ *    then the ToR), so orderDigest()/pathSnapshot() are byte-identical
+ *    for every shard count >= 1.
+ * A sim::ShardEngine runs the islands on up to shardCount() worker
+ * threads (one island: just the queue). Wires are the only
+ * cross-island edges, and their propagation delay follows from the
+ * partition: 500 ns (a 100 m patch cable) inside an island, 5 us
+ * between islands, where it is the engine's lookahead. Only the SR-IOV
+ * UDP/TCP netperf topology is partitioned; PV/VMDq/netback, dom0
+ * traffic, guest-to-guest, bonding and migration need intra-host
+ * coupling and refuse --shards. Slice hypervisors do not contend
+ * across ports, so partitioned results are compared across shard
+ * counts, never against --shards=0.
  */
 
 #ifndef SRIOV_CORE_TESTBED_HPP
@@ -74,7 +80,8 @@ class Testbed
     {
         unsigned num_ports = 10;
         /**
-         * Hosts in the rack (sharded builds only; legacy refuses > 1).
+         * Hosts in the rack (partitioned builds only; a single island
+         * refuses > 1).
          * Each host is a full server replica — num_ports ports, their
          * slices and client islands — and every wire runs through one
          * top-of-rack relay island that forwards frames by a static
@@ -119,19 +126,21 @@ class Testbed
 
     /** @name Infrastructure access.
      *
-     * eq()/server()/client()/iovm()/migration() address the legacy
-     * single-queue build and are fatal on a sharded testbed — sharded
-     * code goes through run()/measure()/orderDigest()/pathSnapshot(),
-     * which work in both modes. A run driven on eq() directly bypasses
-     * the engine: no fluid ledger observes it and nothing warps.
+     * eq()/server()/client()/iovm()/migration()/dom0Kernel() address
+     * the single-island machine and are fatal on a partitioned
+     * testbed — partition-neutral code goes through
+     * run()/measure()/orderDigest()/pathSnapshot(). A run driven on
+     * eq() directly bypasses the engine: no fluid ledger observes it
+     * and nothing warps.
      * @{ */
     sim::EventQueue &eq();
     vmm::Hypervisor &server();
     vmm::Hypervisor &client();
     IovManager &iovm();
     vmm::MigrationManager &migration();
-    bool sharded() const { return !slices_.empty(); }
-    /** The engine running the islands (one island when legacy). */
+    /** Partitioned into per-port islands (--shards >= 1). */
+    bool sharded() const { return queues_.size() > 1; }
+    /** The engine running the islands (just one without --shards). */
     sim::ShardEngine &shardEngine() { return *engine_; }
     const Params &params() const { return params_; }
     unsigned portCount() const { return unsigned(ports_.size()); }
@@ -184,11 +193,11 @@ class Testbed
     void run(sim::Time dt);
     /** Current simulated time (all island clocks agree between runs). */
     sim::Time now() const;
-    /** Events executed so far — eq().executed() or the engine sum. */
+    /** Events executed so far, summed over the islands. */
     std::uint64_t executedEvents() const;
-    /** Order fingerprint: eq().orderDigest(), or the engine's fold of
-     *  per-island digests in island order. Identical across shard
-     *  counts >= 1 (a different value from the legacy engine's). */
+    /** Order fingerprint: the single queue's digest, or the engine's
+     *  fold of per-island digests in island order. Identical across
+     *  shard counts >= 1 (a different value from --shards=0's). */
     std::uint64_t orderDigest() const;
     /** Path-tracer capture: the single tracer's snapshot, or the
      *  deterministic merge of all island tracers. */
@@ -240,13 +249,15 @@ class Testbed
     };
 
     /**
-     * Turn on the latency/cost taps (idempotent): interrupt-delivery
-     * latency on the server hypervisor, VM-exit cost on dom0 and every
-     * guest (current and future), RX-ring occupancy on every pool, TCP
-     * RTT on every netperf TCP sender. Returns the histogram set.
+     * Turn on the latency/cost taps (idempotent), one histogram set
+     * per server machine: interrupt-delivery latency on its
+     * hypervisor, VM-exit cost on its dom0 and every guest (current
+     * and future), RX-ring occupancy on every pool of its ports, and —
+     * on a single island only, where sender and histogram share a
+     * queue — TCP RTT on every netperf TCP sender. Returns the first
+     * server machine's set.
      */
     ObsHooks &enableObs();
-    ObsHooks *obsHooks() { return obs_.get(); }
 
     /**
      * Register the testbed's statistics in @p reg under @p prefix
@@ -266,12 +277,12 @@ class Testbed
     void attachObsTrace(obs::ChromeTraceWriter &w);
 
     /**
-     * The causal packet-path tracer. Always present and wired into
-     * every datapath component at construction; the global
+     * The single island's causal packet-path tracer (fatal on a
+     * partitioned testbed; use pathSnapshot()). Every island has one,
+     * wired into its datapath components at construction; the global
      * obs::pathTraceMode() (sampled at construction) decides how much
      * it keeps. Snapshot it after a run for attribution/trails.
      */
-    obs::PathTracer &pathTracer();
     const obs::PathTracer &pathTracer() const;
 
     /** @} */
@@ -280,8 +291,7 @@ class Testbed
      * @name Fluid (flow-level) mode (sim/fluid.hpp,
      * core/warp_coordinator.hpp).
      *
-     * With sim::fluidEnabled() at construction every island — the
-     * legacy machine's single queue, or each sharded island — gets its
+     * With sim::fluidEnabled() at construction every island gets its
      * own FlowLedger, which is the executing thread's fluidLedger()
      * while that island runs: senders and NIC raise streams feed it.
      * In FluidMode::On a WarpCoordinator drives the engine: run() goes
@@ -293,7 +303,7 @@ class Testbed
 
     /** Full fluid state walk over every component (pure visitation;
      *  the exact order is the build order, so slot sequences are
-     *  reproducible across runs). In sharded mode the walk also covers
+     *  reproducible across runs). On a partition the walk also covers
      *  the cross-island channels and is only legal at a barrier. */
     void fluidVisit(sim::FluidVisitor &v);
 
@@ -340,53 +350,62 @@ class Testbed
     };
 
     /**
-     * One sharded island. Server slices fill every field; client
-     * islands leave the server-only ones (iovm, dom0) null. Each
-     * island's tracer runs in shard-half mode; the queue/tracer pair
-     * is what guests and wires on this island bind to.
+     * One machine of the partition: the server (or one port's server
+     * slice) or the client (or one port's client island). A machine
+     * runs on one island's queue and stamps into that island's tracer;
+     * server machines also own the IOV manager, dom0 kernel and, once
+     * enableObs() ran, the histogram set their ports and guests feed.
      */
-    struct Island
+    struct Machine
     {
-        std::unique_ptr<sim::EventQueue> eq;
-        std::unique_ptr<obs::PathTracer> pt;
+        unsigned island = 0;    ///< engine island index
+        sim::EventQueue *eq = nullptr;
+        obs::PathTracer *pt = nullptr;
         std::unique_ptr<vmm::Hypervisor> hv;
         std::unique_ptr<IovManager> iovm;            ///< server only
         std::unique_ptr<guest::GuestKernel> dom0;    ///< server only
         std::unique_ptr<ObsHooks> obs;               ///< server only
-        unsigned index = 0;    ///< engine island index
     };
 
     nic::NicPort &serverNic(unsigned port);
     std::unique_ptr<drivers::ItrPolicy> makeGuestItr() const;
     void installDomainObs(ObsHooks &obs, vmm::Domain &dom);
     void installRingObs(ObsHooks &obs, nic::NicPort &nic);
-    void buildLegacy();
-    void buildSharded();
+    void build();
     void buildFluid();
-    Island &serverSlice(unsigned port) { return slices_.at(port); }
-    Island &clientIsland(unsigned port)
+    /** A full-duplex wire between two islands (the same one allowed). */
+    nic::Wire &addWire(unsigned island_a, unsigned island_b,
+                       double line_bps);
+    /** Register @p w as component @p name with both ends' tracers. */
+    void traceWire(nic::Wire &w, unsigned island_a, unsigned island_b,
+                   const std::string &name);
+    /** The machines a port belongs to: the only ones on a single
+     *  island, the port's own slice and client island otherwise. */
+    Machine &serverOf(unsigned port)
     {
-        return client_islands_.at(port);
+        return servers_.at(sharded() ? port : 0);
     }
-    /** ObsHooks owning a guest's taps: obs_ or its slice's set. */
-    ObsHooks *obsFor(unsigned port);
+    Machine &clientOf(unsigned port)
+    {
+        return clients_.at(sharded() ? port : 0);
+    }
 
     Params params_;
-    sim::EventQueue eq_;
-    /** Sharded build (empty in legacy mode): per-port server slices
-     *  and per-port client islands. Engine island order: slices
-     *  0..P-1, clients P..2P-1. Declared first so island
-     *  queues/hypervisors outlive (i.e. are destroyed after) the NICs,
-     *  drivers and guests built on them. */
-    std::vector<Island> slices_;
-    std::vector<Island> client_islands_;
-    /** Multi-host builds: the top-of-rack relay island (its queue,
-     *  tracer, per-wire endpoints and the static MAC table). Declared
-     *  with the islands so its queue outlives the wires bound to it. */
+    /** One queue and one path tracer per engine island, in island
+     *  order. Declared first so they outlive (are destroyed after)
+     *  every component bound to them. */
+    std::vector<std::unique_ptr<sim::EventQueue>> queues_;
+    std::vector<std::unique_ptr<obs::PathTracer>> tracers_;
+    /** One server and one client machine per port on a partition, one
+     *  of each on a single island. Declared before the components so
+     *  the hypervisors outlive the NICs, drivers and guests on them. */
+    std::vector<Machine> servers_;
+    std::vector<Machine> clients_;
+    /** Multi-host builds: the top-of-rack relay (per-wire endpoints and
+     *  the static MAC table) running on the last island. */
     struct TorRelay;
     std::unique_ptr<TorRelay> tor_;
-    /** The conservative engine running the islands; the legacy build
-     *  registers eq_ as its only island. */
+    /** The conservative engine running the islands. */
     std::unique_ptr<sim::ShardEngine> engine_;
     /** Fluid builds: one ledger per engine island, installed via
      *  setIslandLedger so the datapath reports into the owning
@@ -395,11 +414,7 @@ class Testbed
      *  runs, not the components. */
     // simlint:allow(fluid-boundary): possession only; settled in .cpp
     std::vector<std::unique_ptr<sim::FlowLedger>> island_ledgers_;
-    std::unique_ptr<vmm::Hypervisor> server_;
-    std::unique_ptr<vmm::Hypervisor> client_;
-    std::unique_ptr<IovManager> iovm_;
     std::unique_ptr<vmm::MigrationManager> migration_;
-    std::unique_ptr<guest::GuestKernel> dom0_kern_;
     std::vector<std::unique_ptr<nic::SriovNic>> ports_;
     std::unique_ptr<nic::VmdqNic> vmdq_nic_;
     std::vector<std::unique_ptr<nic::Wire>> wires_;
@@ -412,10 +427,6 @@ class Testbed
     std::vector<std::unique_ptr<guest::UdpStreamSender>> udp_senders_;
     std::vector<std::unique_ptr<guest::TcpStreamSender>> tcp_senders_;
     std::map<unsigned, unsigned> next_vf_on_port_;
-    std::unique_ptr<ObsHooks> obs_;
-    /** Constructed before any component so registration order — and
-     *  therefore snapshot/artifact bytes — is fixed by build order. */
-    std::unique_ptr<obs::PathTracer> pathtrace_;
     /** Warp coordinator (FluidMode::On only). Declared last so it is
      *  destroyed before the components its state walk references. */
     std::unique_ptr<WarpCoordinator> coordinator_;

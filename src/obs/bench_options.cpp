@@ -1,7 +1,9 @@
 #include "obs/bench_options.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "obs/pathtrace.hpp"
 #include "sim/fluid.hpp"
@@ -53,56 +55,89 @@ splitCommas(const std::string &list)
     return out;
 }
 
-/** "--jobs" values: anything unparsable or zero degrades to 1. */
-unsigned
-parseJobs(const char *s)
+/** A decimal count: digits only, no sign, no overflow. */
+bool
+parseCount(const char *s, unsigned *out)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0' || v == 0)
-        return 1;
-    return static_cast<unsigned>(v);
+    if (*s == '\0')
+        return false;
+    unsigned long long v = 0;
+    for (const char *c = s; *c != '\0'; ++c) {
+        if (*c < '0' || *c > '9')
+            return false;
+        v = v * 10 + unsigned(*c - '0');
+        if (v > std::numeric_limits<unsigned>::max())
+            return false;
+    }
+    *out = unsigned(v);
+    return true;
 }
 
-/** "--shards" values: unparsable degrades to 0 (legacy engine). */
-unsigned
-parseShards(const char *s)
+/** "--jobs" values: a count >= 1. */
+bool
+parseJobs(const char *s, unsigned *out)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(s, &end, 10);
-    if (end == s || *end != '\0')
-        return 0;
-    return static_cast<unsigned>(v);
+    return parseCount(s, out) && *out >= 1;
 }
 
 /** "--fluid" values: bare "--fluid", "1" and "on" warp; "exact" runs
- *  the fluid schedule without warping; "off"/"0" (and unknown
- *  strings) keep the seed schedule. */
-sim::FluidMode
-parseFluid(const char *s)
+ *  the fluid schedule without warping; "off"/"0" keep the seed
+ *  schedule. */
+bool
+parseFluid(const char *s, sim::FluidMode *out)
 {
-    if (s == nullptr || *s == '\0' || std::strcmp(s, "1") == 0
-        || std::strcmp(s, "on") == 0)
-        return sim::FluidMode::On;
-    if (std::strcmp(s, "exact") == 0)
-        return sim::FluidMode::Exact;
-    return sim::FluidMode::Off;
+    if (*s == '\0' || std::strcmp(s, "1") == 0 || std::strcmp(s, "on") == 0)
+        *out = sim::FluidMode::On;
+    else if (std::strcmp(s, "exact") == 0)
+        *out = sim::FluidMode::Exact;
+    else if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0)
+        *out = sim::FluidMode::Off;
+    else
+        return false;
+    return true;
 }
 
-/** "--pathtrace" values; unknown strings degrade to Off. "--pathtrace"
- *  with no value (or "1") means full. */
-PathTraceMode
-parsePathTraceMode(const char *s, bool *requested)
+/** "--pathtrace" values: bare "--pathtrace", "1" and "full" keep every
+ *  trail; "sampled"; "off"/"0" turn the export off. */
+bool
+parsePathTraceMode(const char *s, PathTraceMode *out, bool *requested)
 {
     *requested = true;
-    if (s == nullptr || *s == '\0' || std::strcmp(s, "1") == 0
-        || std::strcmp(s, "full") == 0)
-        return PathTraceMode::Full;
-    if (std::strcmp(s, "sampled") == 0)
-        return PathTraceMode::Sampled;
-    if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0)
+    if (*s == '\0' || std::strcmp(s, "1") == 0
+        || std::strcmp(s, "full") == 0) {
+        *out = PathTraceMode::Full;
+    } else if (std::strcmp(s, "sampled") == 0) {
+        *out = PathTraceMode::Sampled;
+    } else if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0) {
+        *out = PathTraceMode::Off;
         *requested = false;
-    return PathTraceMode::Off;
+    } else {
+        return false;
+    }
+    return true;
+}
+
+/** A set, non-empty environment variable, else nullptr. */
+const char *
+envValue(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && *v != '\0' ? v : nullptr;
+}
+
+/** A mode value that does not parse is an error, not a default: name
+ *  the flag (and the variable it came from), print the usage text and
+ *  exit 2. */
+[[noreturn]] void
+rejectValue(const std::string &bench, const char *flag, const char *value,
+            const char *env)
+{
+    std::fprintf(stderr, "%s: invalid %s value '%s'", bench.c_str(), flag,
+                 value);
+    if (env != nullptr)
+        std::fprintf(stderr, " (from %s)", env);
+    std::fprintf(stderr, "\n%s", BenchOptions::usage(bench).c_str());
+    std::exit(2);
 }
 
 } // namespace
@@ -141,35 +176,35 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
     BenchOptions o;
     o.bench_ = bench;
 
-    if (const char *env = std::getenv("SRIOV_BENCH_OUT");
-        env != nullptr && *env != '\0')
+    if (const char *env = envValue("SRIOV_BENCH_OUT"))
         o.out_dir_ = env;
-    if (const char *env = std::getenv("SRIOV_TRACE");
-        env != nullptr && *env != '\0')
+    if (const char *env = envValue("SRIOV_TRACE"))
         o.parseTraceArg(env);
-    if (const char *env = std::getenv("SRIOV_BENCH_JOBS");
-        env != nullptr && *env != '\0')
-        o.jobs_ = parseJobs(env);
-    if (const char *env = std::getenv("SRIOV_NO_THIN");
-        env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0)
+    if (const char *env = envValue("SRIOV_BENCH_JOBS");
+        env != nullptr && !parseJobs(env, &o.jobs_))
+        rejectValue(bench, "--jobs", env, "SRIOV_BENCH_JOBS");
+    if (const char *env = envValue("SRIOV_NO_THIN");
+        env != nullptr && std::strcmp(env, "0") != 0)
         o.no_thin_ = true;
-    if (const char *env = std::getenv("SRIOV_SHARDS");
-        env != nullptr && *env != '\0')
-        o.shards_ = parseShards(env);
-    if (const char *env = std::getenv("SRIOV_FLUID");
-        env != nullptr && *env != '\0')
-        o.fluid_mode_ = parseFluid(env);
+    if (const char *env = envValue("SRIOV_SHARDS");
+        env != nullptr && !parseCount(env, &o.shards_))
+        rejectValue(bench, "--shards", env, "SRIOV_SHARDS");
+    if (const char *env = envValue("SRIOV_FLUID");
+        env != nullptr && !parseFluid(env, &o.fluid_mode_))
+        rejectValue(bench, "--fluid", env, "SRIOV_FLUID");
     PathTraceMode pt_mode = PathTraceMode::Off;
-    if (const char *env = std::getenv("SRIOV_PATHTRACE");
-        env != nullptr && *env != '\0')
-        pt_mode = parsePathTraceMode(env, &o.pathtrace_requested_);
+    if (const char *env = envValue("SRIOV_PATHTRACE");
+        env != nullptr
+        && !parsePathTraceMode(env, &pt_mode, &o.pathtrace_requested_))
+        rejectValue(bench, "--pathtrace", env, "SRIOV_PATHTRACE");
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (const char *v = matchFlag(arg, "--out")) {
             o.out_dir_ = v;
         } else if (const char *v = matchFlag(arg, "--jobs")) {
-            o.jobs_ = parseJobs(v);
+            if (!parseJobs(v, &o.jobs_))
+                rejectValue(bench, "--jobs", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--trace")) {
             o.parseTraceArg(v);
         } else if (std::strcmp(arg, "--trace") == 0) {
@@ -177,16 +212,18 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
         } else if (std::strcmp(arg, "--no-thin") == 0) {
             o.no_thin_ = true;
         } else if (const char *v = matchFlag(arg, "--shards")) {
-            o.shards_ = parseShards(v);
+            if (!parseCount(v, &o.shards_))
+                rejectValue(bench, "--shards", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--fluid")) {
-            o.fluid_mode_ = parseFluid(v);
+            if (!parseFluid(v, &o.fluid_mode_))
+                rejectValue(bench, "--fluid", v, nullptr);
         } else if (std::strcmp(arg, "--fluid") == 0) {
             o.fluid_mode_ = sim::FluidMode::On;
         } else if (const char *v = matchFlag(arg, "--pathtrace")) {
-            pt_mode = parsePathTraceMode(v, &o.pathtrace_requested_);
+            if (!parsePathTraceMode(v, &pt_mode, &o.pathtrace_requested_))
+                rejectValue(bench, "--pathtrace", v, nullptr);
         } else if (std::strcmp(arg, "--pathtrace") == 0) {
-            pt_mode = parsePathTraceMode(nullptr,
-                                         &o.pathtrace_requested_);
+            parsePathTraceMode("", &pt_mode, &o.pathtrace_requested_);
         } else if (std::strcmp(arg, "--help") == 0
                    || std::strcmp(arg, "-h") == 0) {
             o.help_ = true;
@@ -223,7 +260,7 @@ BenchOptions::usage(const std::string &bench)
            "                 (env fallback: SRIOV_NO_THIN)\n"
            "  --shards=<n>   partition the testbed into per-port islands\n"
            "                 run by the conservative shard engine on up\n"
-           "                 to <n> worker threads (0 = legacy engine,\n"
+           "                 to <n> worker threads (0 = one island,\n"
            "                 the default; n=1 = sequential oracle).\n"
            "                 Reports are byte-identical for every n >= 1\n"
            "                 (env fallback: SRIOV_SHARDS)\n"

@@ -35,8 +35,11 @@ class BenchOptions
   public:
     /**
      * Parse argv (and the environment). Unknown arguments are kept in
-     * extraArgs() for bench-specific handling. @p bench is the figure
-     * name ("fig06") used to derive the report path.
+     * extraArgs() for bench-specific handling. A value that --jobs,
+     * --shards, --fluid or --pathtrace (or its environment fallback)
+     * does not accept is an error: parse() names the flag, prints the
+     * usage text to stderr and exits 2. @p bench is the figure name
+     * ("fig06") used to derive the report path.
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &bench);
@@ -79,7 +82,7 @@ class BenchOptions
 
     /** --shards=<n> (env SRIOV_SHARDS): island-partitioned testbeds
      *  run by the conservative shard engine on up to <n> worker
-     *  threads (0 = legacy single-queue engine). parse() applies it to
+     *  threads (0 = one single-queue island). parse() applies it to
      *  the global sim::setShardCount switch before any testbed exists;
      *  reports are byte-identical for every n >= 1. */
     unsigned shards() const { return shards_; }

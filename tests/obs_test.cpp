@@ -487,6 +487,100 @@ TEST(BenchOptions, EnvironmentFallback)
     EXPECT_FALSE(t.enabled(sim::TraceCat::Irq));
 }
 
+TEST(BenchOptions, AcceptsEveryDocumentedModeValue)
+{
+    auto o = parseArgs({"--jobs=3", "--shards=2", "--fluid=exact",
+                        "--pathtrace=sampled"});
+    EXPECT_EQ(o.jobs(), 3u);
+    EXPECT_EQ(o.shards(), 2u);
+    EXPECT_EQ(o.fluidMode(), sim::FluidMode::Exact);
+    EXPECT_TRUE(o.wantPathTrace());
+    EXPECT_EQ(parseArgs({"--fluid"}).fluidMode(), sim::FluidMode::On);
+    EXPECT_EQ(parseArgs({"--fluid=1"}).fluidMode(), sim::FluidMode::On);
+    EXPECT_EQ(parseArgs({"--fluid=0"}).fluidMode(), sim::FluidMode::Off);
+    EXPECT_EQ(parseArgs({"--shards=0"}).shards(), 0u);
+    EXPECT_TRUE(parseArgs({"--pathtrace"}).wantPathTrace());
+    EXPECT_TRUE(parseArgs({"--pathtrace=1"}).wantPathTrace());
+    EXPECT_FALSE(parseArgs({"--pathtrace=0"}).wantPathTrace());
+    // parse() sets the process-wide mode switches; put the defaults back.
+    EXPECT_FALSE(parseArgs({"--pathtrace=off"}).wantPathTrace());
+}
+
+// A mode value parse() does not accept, as a flag and as its environment
+// fallback: each exits 2 with the flag's name and the usage text on
+// stderr instead of quietly running some default mode.
+
+TEST(BenchOptionsDeathTest, RejectsNonNumericShards)
+{
+    EXPECT_EXIT(parseArgs({"--shards=abc"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --shards value 'abc'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_SHARDS", "two", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --shards value 'two' \\(from SRIOV_SHARDS\\).*usage");
+}
+
+TEST(BenchOptionsDeathTest, RejectsUnknownFluidMode)
+{
+    EXPECT_EXIT(parseArgs({"--fluid=bogus"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --fluid value 'bogus'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_FLUID", "bogus", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --fluid value 'bogus' \\(from SRIOV_FLUID\\).*usage");
+}
+
+TEST(BenchOptionsDeathTest, RejectsUnknownPathTraceMode)
+{
+    EXPECT_EXIT(parseArgs({"--pathtrace=weird"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --pathtrace value 'weird'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_PATHTRACE", "weird", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --pathtrace value 'weird' \\(from SRIOV_PATHTRACE\\)"
+        ".*usage");
+}
+
+TEST(BenchOptionsDeathTest, RejectsNonNumericJobs)
+{
+    EXPECT_EXIT(parseArgs({"--jobs=abc"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --jobs value 'abc'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_BENCH_JOBS", "abc", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --jobs value 'abc' \\(from SRIOV_BENCH_JOBS\\).*usage");
+}
+
+TEST(BenchOptionsDeathTest, RejectsZeroJobs)
+{
+    EXPECT_EXIT(parseArgs({"--jobs=0"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --jobs value '0'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_BENCH_JOBS", "0", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --jobs value '0' \\(from SRIOV_BENCH_JOBS\\).*usage");
+}
+
 // ------------------------------------------------------------ SimProfiler
 
 TEST(SimProfiler, AttributesHostTimeByTag)
