@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
-#include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -25,9 +24,6 @@ constexpr sim::Time kPollChunk = sim::Time::us(997);
  *  rejection up to kMaxBackoffShift times. */
 constexpr sim::Time kBackoff = sim::Time::ms(5);
 constexpr unsigned kMaxBackoffShift = 6;
-/** Largest global hyperperiod worth probing — each cycle executes
- *  2 * period of exact simulation before it can warp. */
-constexpr sim::Time kPeriodCap = sim::Time::ms(50);
 /** Period-multiplier scan bound (m * P for m = 1..kMaxMult). */
 constexpr unsigned kMaxMult = 8;
 /** Smallest warp worth applying (in periods). */
@@ -97,26 +93,24 @@ WarpCoordinator::ledgersSteady() const
 }
 
 sim::Time
-WarpCoordinator::globalPeriod() const
+WarpCoordinator::globalPeriod(sim::Time cap) const
 {
     // Global hyperperiod: LCM of the per-island hyperperiods. Edge
     // traffic needs no separate term — every cross-island stream's
     // delivery grid is registered as a flow on the receiving island
     // (nic::Wire::deliverShard), so each edge period already divides
     // both endpoint islands' periods.
-    std::int64_t lcm = 0;
+    sim::Time lcm;
     for (unsigned i = 0; i < engine_.islandCount(); ++i) {
         const sim::FlowLedger *l = engine_.islandLedger(i);
         if (l == nullptr || l->liveFlows() == 0)
             continue;
-        sim::Time p = l->commonPeriod(kPeriodCap);
-        if (p <= sim::Time())
-            return sim::Time();
-        lcm = lcm == 0 ? p.picos() : std::lcm(lcm, p.picos());
-        if (lcm <= 0 || lcm > kPeriodCap.picos())
+        // An unsteady island's Time() fails the fold too.
+        lcm = sim::FlowLedger::boundedLcm(lcm, l->commonPeriod(cap), cap);
+        if (lcm == sim::Time())
             return sim::Time();
     }
-    return sim::Time::ps(lcm);
+    return lcm;
 }
 
 void
@@ -126,24 +120,24 @@ WarpCoordinator::runUntil(sim::Time deadline)
         const sim::Time t = now();
         if (t >= deadline)
             break;
+        if (t > abs_bound_)
+            abs_bound_ = sim::Time::max(); // it has fired
         if (t >= backoff_until_ && ledgersSteady()) {
-            sim::Time base = globalPeriod();
+            // A cycle runs two exact periods and then warps at least
+            // kMinPeriods more, all before the deadline and before
+            // the event the last cycle saw waiting in place (which
+            // would change the schedule under a straddling probe).
+            const sim::Time cap =
+                (std::min(deadline, abs_bound_) - t) / (2 + kMinPeriods);
+            const sim::Time base = globalPeriod(cap);
             if (base > sim::Time()) {
-                sim::Time period = sim::Time::ps(base.picos() * mult_);
-                if (period > kPeriodCap) {
-                    // The multiplier outgrew the cap at this base
-                    // period: restart the scan — the base may shrink
-                    // again after a retune.
+                // Restart the scan once the multiple outgrows the
+                // horizon: the base may shrink again after a retune.
+                if (base.picos() > cap.picos() / mult_)
                     mult_ = 1;
-                    period = base;
-                }
-                // A cycle runs two exact periods before it can warp;
-                // probe only while the warp itself still fits.
-                if ((deadline - t).picos()
-                    >= period.picos() * (2 + kMinPeriods)) {
-                    probeCycle(deadline, period);
-                    continue;
-                }
+                if (probeCycle(deadline, base * mult_))
+                    mult_ = 1;
+                continue;
             }
         }
         // Not warpable from here: execute an exact slice and
@@ -202,10 +196,10 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
     }
     e2_.assign(isles, {});
     shift_keys_.assign(isles, {});
-    sim::Time abs_bound = sim::Time::max();
+    abs_bound_ = sim::Time::max();
     for (unsigned i = 0; i < isles; ++i) {
         engine_.islandQueue(i).snapshotPending(e2_[i]);
-        if (!classifyIsland(i, period, &abs_bound, &why)) {
+        if (!classifyIsland(i, period, &why)) {
             reject(std::move(why));
             return false;
         }
@@ -213,9 +207,8 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
 
     const sim::Time t2 = now();
     const std::int64_t np = period.picos();
-    std::int64_t n = (deadline - t2).picos() / np;
-    if (abs_bound != sim::Time::max())
-        n = std::min(n, (abs_bound - t2).picos() / np);
+    const std::int64_t n =
+        (std::min(deadline, abs_bound_) - t2).picos() / np;
     if (n < kMinPeriods) {
         reject("warp horizon too near");
         return false;
@@ -264,7 +257,7 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
 
 bool
 WarpCoordinator::classifyIsland(unsigned island, sim::Time period,
-                                sim::Time *abs_bound, std::string *why)
+                                std::string *why)
 {
     // Both barriers are exactly one period apart, so a periodic
     // process pends at the same relative offset in e1 and e2. An event
@@ -285,7 +278,7 @@ WarpCoordinator::classifyIsland(unsigned island, sim::Time period,
     for (const auto &e : e2_[island]) {
         auto s = still.find(e.seq);
         if (s != still.end() && s->second == e.when) {
-            *abs_bound = std::min(*abs_bound, e.when);
+            abs_bound_ = std::min(abs_bound_, e.when);
             continue;
         }
         auto r = rel1.find({std::string_view(e.tag),

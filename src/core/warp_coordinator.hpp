@@ -37,10 +37,14 @@
  * and floor clocks in lockstep. Because the probes never enter an
  * island's schedule, slicing a run executes the identical per-island
  * event sequences as one big runUntil — warped runs stay byte-identical
- * across shard counts, and exact vs on share one schedule. On
- * rejection the coordinator escalates the period to m * P (interacting
- * grids often only repeat at a small multiple) and finally backs off
- * exponentially. Transitions reported to a ledger (drops, RTOs, ITR
+ * across shard counts, and exact vs on share one schedule. A period is
+ * probed only when 2 + kMinPeriods of it fit before both the deadline
+ * and the earliest event the last cycle found waiting in place (a 1 Hz
+ * driver sampler, say), so the hyperperiods worth probing reach as far
+ * as the run does. On rejection the coordinator escalates the period
+ * to m * P (interacting grids often only repeat at a small multiple)
+ * and finally backs off exponentially; a warp restarts the scan at
+ * m = 1. Transitions reported to a ledger (drops, RTOs, ITR
  * changes, VM churn...) drop the testbed back to exact per-packet
  * simulation automatically: the ledger goes unsteady and no cycle
  * starts until the hysteresis hold expires.
@@ -113,13 +117,15 @@ class WarpCoordinator
      *  least one island has live flows. */
     bool ledgersSteady() const;
     /** LCM of the per-island hyperperiods; Time() when unsteady or
-     *  over the cap. */
-    sim::Time globalPeriod() const;
+     *  over @p cap, the longest period the run's horizon can warp. */
+    sim::Time globalPeriod(sim::Time cap) const;
     /** Run one three-capture cycle from the current barrier. Returns
      *  true if a warp was applied (state advanced past the probes). */
     bool probeCycle(sim::Time deadline, sim::Time period);
+    /** Classify @p island's pending events; lowers abs_bound_ to every
+     *  event still waiting in place. */
     bool classifyIsland(unsigned island, sim::Time period,
-                        sim::Time *abs_bound, std::string *why);
+                        std::string *why);
     void reject(std::string why);
 
     sim::ShardEngine &engine_;
@@ -130,6 +136,11 @@ class WarpCoordinator
     unsigned mult_ = 1;
     unsigned consecutive_rejects_ = 0;
     sim::Time backoff_until_;
+    /** Earliest event the last classification found waiting in place
+     *  (max() when none, or once the clock has passed it). A probe
+     *  straddling it would see its schedule change, so no cycle may
+     *  need to run past it. */
+    sim::Time abs_bound_ = sim::Time::max();
     std::string last_reject_;
 
     /** Per-cycle scratch (index = engine island index). */

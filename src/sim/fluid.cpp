@@ -352,24 +352,22 @@ FlowLedger::commonPeriod(Time cap) const
 {
     if (!allSteady())
         return Time();
-    std::int64_t lcm = 0;
-    for (unsigned i = 0; i < flows_.size(); ++i) {
-        if (flows_[i].ended)
+    Time lcm;
+    for (const Flow &f : flows_) {
+        if (f.ended)
             continue;
-        std::int64_t g = flows_[i].gap.picos();
-        lcm = lcm == 0 ? g : std::lcm(lcm, g);
-        if (lcm <= 0 || lcm > cap.picos())
+        lcm = boundedLcm(lcm, f.gap, cap);
+        if (lcm == Time())
             return Time();
     }
-    return Time::ps(lcm);
+    return lcm;
 }
 
 Time
 FlowLedger::sourcePeriod(Time cap) const
 {
-    std::int64_t lcm = 0;
-    for (unsigned i = 0; i < flows_.size(); ++i) {
-        const Flow &f = flows_[i];
+    Time lcm;
+    for (const Flow &f : flows_) {
         if (f.ended || f.kind != FlowKind::Source)
             continue;
         // The last observed gap is used even while the flow sits in a
@@ -378,15 +376,25 @@ FlowLedger::sourcePeriod(Time cap) const
         // every pool retuning its ITR on the same 1 Hz sample edge —
         // must not blind the pools that retune after the first one.
         // Correctness never rests on it: the probe certificate checks
-        // the real schedule.
-        if (f.gap <= Time())
-            return Time();
-        std::int64_t g = f.gap.picos();
-        lcm = lcm == 0 ? g : std::lcm(lcm, g);
-        if (lcm <= 0 || lcm > cap.picos())
+        // the real schedule. A flow with no gap yet fails the fold.
+        lcm = boundedLcm(lcm, f.gap, cap);
+        if (lcm == Time())
             return Time();
     }
-    return Time::ps(lcm);
+    return lcm;
+}
+
+Time
+FlowLedger::boundedLcm(Time acc, Time gap, Time cap)
+{
+    // lcm = (acc / gcd) * gap, so it fits the cap exactly when the
+    // quotient fits cap / gap; an empty fold has quotient 1.
+    const std::int64_t g = gap.picos();
+    const std::int64_t q =
+        acc > Time() ? acc.picos() / std::gcd(acc.picos(), g) : 1;
+    if (g <= 0 || q > cap.picos() / g)
+        return Time();
+    return Time::ps(q * g);
 }
 
 void

@@ -273,11 +273,12 @@ class FlowLedger
 
     /**
      * The common hyperperiod of all steady flows: every flow's gap
-     * must divide it and it must not exceed @p cap (LCM blowup between
+     * must divide it and it must not exceed @p cap, which the caller
+     * derives from how much run is left to warp (LCM blowup between
      * incommensurate grids means no fluid segment). Time() when any
      * flow is unsteady or no common period <= cap exists.
      */
-    Time commonPeriod(Time cap = Time::ms(10)) const;
+    Time commonPeriod(Time cap) const;
 
     /**
      * The common grid of the *source* flows only (sender emission
@@ -294,6 +295,16 @@ class FlowLedger
      * measures the true grid gap instead of a warp-length outlier.
      */
     void warpBy(Time delta);
+
+    /**
+     * lcm(@p acc, @p gap) if it is at most @p cap, else Time() (also
+     * for a @p gap that is not positive); an empty fold (@p acc =
+     * Time()) yields @p gap under the same cap. Divides by the gcd and
+     * compares against cap / gap before it multiplies, so grids whose
+     * LCM would overflow int64 picoseconds read as over the cap
+     * instead of wrapping back under it.
+     */
+    static Time boundedLcm(Time acc, Time gap, Time cap);
 
     /** Transitions observed, by kind (for tests and reports). */
     std::uint64_t transitions(FluidTransition t) const;

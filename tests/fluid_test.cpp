@@ -159,14 +159,30 @@ TEST(FlowLedger, EndedFlowsAreExcludedFromAllSteady)
 
 TEST(FlowLedger, CommonPeriodIsTheLcmOfSteadyGaps)
 {
-    FlowLedger l;
-    unsigned a = l.addFlow("a");
-    unsigned b = l.addFlow("b");
-    sendGrid(l, a, Time(), Time::us(2), 2 + FlowLedger::kSteadyGaps);
-    sendGrid(l, b, Time(), Time::us(3), 2 + FlowLedger::kSteadyGaps);
-    EXPECT_EQ(l.commonPeriod(), Time::us(6));
-    // A cap below the LCM means no usable hyperperiod.
-    EXPECT_EQ(l.commonPeriod(Time::us(5)), Time());
+    struct Case
+    {
+        Time gap_a, gap_b, cap, want;
+    };
+    const Case cases[] = {
+        {Time::us(2), Time::us(3), Time::ms(10), Time::us(6)},
+        // A cap below the LCM means no usable hyperperiod.
+        {Time::us(2), Time::us(3), Time::us(5), Time()},
+        // Coprime gaps whose LCM, 18446744076000000000 ps, overflows
+        // int64: over every cap, never wrapped back under it (the
+        // wrapped product reads 2.290448384 ms, which neither divides).
+        {Time::ms(4), Time::ps(4611686019), Time::ms(10), Time()},
+        {Time::ms(4), Time::ps(4611686019), Time::sec(10), Time()},
+    };
+    for (const Case &c : cases) {
+        FlowLedger l;
+        unsigned a = l.addFlow("a");
+        unsigned b = l.addFlow("b");
+        sendGrid(l, a, Time(), c.gap_a, 2 + FlowLedger::kSteadyGaps);
+        sendGrid(l, b, Time(), c.gap_b, 2 + FlowLedger::kSteadyGaps);
+        EXPECT_EQ(l.commonPeriod(c.cap), c.want)
+            << c.gap_a.toString() << " / " << c.gap_b.toString()
+            << " under " << c.cap.toString();
+    }
 }
 
 TEST(FlowLedger, CommonPeriodRequiresEveryLiveFlowSteady)
@@ -175,7 +191,7 @@ TEST(FlowLedger, CommonPeriodRequiresEveryLiveFlowSteady)
     unsigned a = l.addFlow("a");
     l.addFlow("b");    // registered, never sends
     sendGrid(l, a, Time(), Time::us(2), 2 + FlowLedger::kSteadyGaps);
-    EXPECT_EQ(l.commonPeriod(), Time());
+    EXPECT_EQ(l.commonPeriod(Time::ms(10)), Time());
 }
 
 TEST(FlowLedger, SourcePeriodIgnoresDerivedFlowsAndHolds)

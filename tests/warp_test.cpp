@@ -13,11 +13,13 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "check/determinism.hpp"
 #include "core/testbed.hpp"
 #include "core/warp_coordinator.hpp"
+#include "obs/metric.hpp"
 #include "sim/fluid.hpp"
 #include "sim/log.hpp"
 #include "sim/shard.hpp"
@@ -198,6 +200,127 @@ TEST(WarpCoordinator, LegacyProbesNeverEnterTheSchedule)
     ASSERT_NE(tb.fluidStats(), nullptr);
     EXPECT_GT(tb.fluidStats()->segments, 0u);
     EXPECT_EQ(counter.events, 0u);
+}
+
+namespace {
+
+/**
+ * Fig. 15's 30-VM case in miniature: one port, three HVM SR-IOV
+ * guests, each sent 1472 B UDP at a third of line rate. Until the VF
+ * driver's first 1 Hz ITR retune the interrupt window is the 50 us
+ * start-up one, so the steady schedule repeats only every 115.35 ms.
+ */
+std::unique_ptr<core::Testbed>
+buildMidRange()
+{
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    p.itr = "adaptive";
+    p.opts = core::OptimizationSet::maskEoi();
+    auto tb = std::make_unique<core::Testbed>(p);
+    for (unsigned i = 0; i < 3; ++i) {
+        auto &g = tb->addGuest(vmm::DomainType::Hvm,
+                               core::Testbed::NetMode::Sriov);
+        tb->startUdpToGuest(g, p.line_bps / 3);
+    }
+    return tb;
+}
+
+/** Guest 0's received packets after an exact run to @p until. */
+std::uint64_t
+exactMidRangeRx(Time until)
+{
+    sim::FluidScope fluid(FluidMode::Exact);
+    auto tb = buildMidRange();
+    tb->run(until);
+    return tb->guest(0).rx->rxPackets();
+}
+
+} // namespace
+
+TEST(WarpCoordinator, LongHyperperiodWarpsBeforeTheFirstRetune)
+{
+    for (unsigned shards : {0u, 1u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        sim::ShardScope scope(shards);
+        const std::uint64_t exact_rx = exactMidRangeRx(Time::ms(990));
+        EXPECT_EQ(exact_rx, 26820u);
+
+        sim::FluidScope fluid(FluidMode::On);
+        auto tb = buildMidRange();
+        tb->run(Time::ms(990));
+        // The run's own horizon bounds the probed period: certified
+        // at about 0.23 s, the hyperperiod warps six whole periods
+        // before the deadline.
+        const sim::FluidStats &fs = *tb->fluidStats();
+        EXPECT_GE(fs.segments, 1u);
+        EXPECT_GE(fs.warped, Time::us(115350) * 6)
+            << fs.warped.toString();
+        EXPECT_EQ(tb->guest(0).rx->rxPackets(), exact_rx);
+    }
+}
+
+TEST(WarpCoordinator, NoProbeStraddlesTheDriverRetune)
+{
+    for (unsigned shards : {0u, 1u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        sim::ShardScope scope(shards);
+        const std::uint64_t exact_rx = exactMidRangeRx(Time::ms(2500));
+        EXPECT_EQ(exact_rx, 67724u);
+
+        sim::FluidScope fluid(FluidMode::On);
+        auto tb = buildMidRange();
+        tb->run(Time::ms(2500));
+        // The warp that lands short of the 1 s ITR sampler leaves it
+        // as the horizon: no period is probed across it, where the
+        // retune would reject the cycle.
+        const sim::FluidStats &fs = *tb->fluidStats();
+        EXPECT_GE(fs.segments, 2u);
+        EXPECT_EQ(fs.rejected, 0u);
+        EXPECT_EQ(tb->guest(0).rx->rxPackets(), exact_rx);
+    }
+}
+
+TEST(WarpCoordinator, AWarpRestartsTheMultiplierScan)
+{
+    // Fig. 15's 40-VM case in miniature, observability included: four
+    // guests on one port repeat every 153.8 ms before the 1 s ITR
+    // retune. That probe is rejected on an f64 slot, its doubled
+    // successor finds the retune too near to warp, and so the first
+    // warp after the retune certifies at three times the new base
+    // period.
+    sim::FluidScope fluid(FluidMode::On);
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    p.itr = "adaptive";
+    p.opts = core::OptimizationSet::maskEoi();
+    core::Testbed tb(p);
+    for (unsigned i = 0; i < 4; ++i) {
+        auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                              core::Testbed::NetMode::Sriov);
+        tb.startUdpToGuest(g, p.line_bps / 4);
+    }
+    obs::MetricRegistry reg;
+    tb.enableObs();
+    tb.registerMetrics(reg);
+
+    tb.run(Time::sec(2));
+    const sim::FluidStats first = *tb.fluidStats();
+    ASSERT_EQ(first.segments, 1u);
+    EXPECT_EQ(first.rejected, 2u);
+    const Time escalated =
+        first.warped / std::int64_t(first.periods_warped);
+
+    // After that warp the scan starts over at the base period.
+    tb.run(Time::ms(1500));
+    const sim::FluidStats &now = *tb.fluidStats();
+    ASSERT_GT(now.segments, first.segments);
+    EXPECT_EQ(now.rejected, first.rejected);
+    const Time later =
+        (now.warped - first.warped)
+        / std::int64_t(now.periods_warped - first.periods_warped);
+    EXPECT_EQ(escalated, later * 3)
+        << escalated.toString() << " vs " << later.toString();
 }
 
 TEST(WarpCoordinator, ShiftSafeTagAllowlistIsExactAndClosed)
