@@ -27,7 +27,6 @@
 #include "obs/histogram.hpp"
 #include "obs/metric.hpp"
 #include "obs/pathtrace.hpp"
-#include "obs/profiler.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/stats.hpp"
@@ -246,21 +245,31 @@ BENCHMARK(BM_RegistrySnapshot);
 
 // Per-event overhead of an attached ExecHook vs the bare queue: the
 // disabled path is one null check, the enabled path two virtual calls.
+namespace {
+
+struct NoopExecHook final : sim::EventQueue::ExecHook
+{
+    void onEventStart(sim::Time, std::uint64_t, const char *) override {}
+    void onEventEnd(sim::Time, std::uint64_t, const char *) override {}
+};
+
+} // namespace
+
 static void
-BM_EventQueueWithProfiler(benchmark::State &state)
+BM_EventQueueWithExecHook(benchmark::State &state)
 {
     for (auto _ : state) {
         sim::EventQueue eq;
-        obs::SimProfiler prof;
+        NoopExecHook hook;
         if (state.range(0))
-            prof.attach(eq);
+            eq.addExecHook(&hook);
         for (int i = 0; i < 1000; ++i)
             eq.scheduleIn(sim::Time::ns(i), []() {});
         benchmark::DoNotOptimize(eq.runAll());
     }
     state.SetItemsProcessed(state.iterations() * 1000);
 }
-BENCHMARK(BM_EventQueueWithProfiler)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueWithExecHook)->Arg(0)->Arg(1);
 
 static void
 BM_L2Classify(benchmark::State &state)

@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::check {
 
@@ -283,12 +282,6 @@ InvariantChecker::report() const
         + " violation(s)\n";
     for (const auto &v : violations_)
         out += "  " + v.toString() + "\n";
-    const sim::Tracer &t = sim::Tracer::global();
-    if (t.size() > 0) {
-        out += "--- trace ring (" + std::to_string(t.size())
-            + " records) ---\n";
-        out += t.toString();
-    }
     if (pathtrace_)
         out += obs::pathSnapshotDump(pathtrace_->snapshot());
     return out;

@@ -20,8 +20,8 @@
  *  - no EOI without an in-service vector.
  *
  * Violations are collected (not fatal) so negative tests can assert
- * them; report() renders all violations plus the global Tracer ring
- * for post-mortem context.
+ * them; report() renders all violations plus the attached path
+ * tracer's flight-recorder dump for post-mortem context.
  */
 
 #ifndef SRIOV_CHECK_INVARIANT_CHECKER_HPP
@@ -108,7 +108,7 @@ class InvariantChecker : public sim::EventQueue::Observer
     bool ok() const { return violations_.empty(); }
     const std::vector<Violation> &violations() const { return violations_; }
     std::size_t count(Invariant inv) const;
-    /** All violations plus the Tracer ring, for post-mortem. */
+    /** All violations plus the flight-recorder dump, for post-mortem. */
     std::string report() const;
     void clearViolations() { violations_.clear(); }
 

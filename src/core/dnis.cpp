@@ -1,7 +1,6 @@
 #include "core/dnis.hpp"
 
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::core {
 
@@ -64,9 +63,6 @@ Dnis::removeRequested(pci::PciFunction &)
     // Guest side: the ACPI event takes a moment to surface; then the
     // bonding driver quiesces the VF and fails over to the PV NIC.
     hv_.eq().scheduleIn(params_.remove_ack_delay, [this]() {
-        SRIOV_TRACE(sim::TraceCat::Migration,
-                    "DNIS: guest quiescing VF %s",
-                    vf_->name().c_str());
         vf_->stopRx();    // frames pile into the ring, then drop
         hv_.eq().scheduleIn(params_.vf_quiesce, [this]() {
             vf_->shutdown();           // filter cleared -> PV path live
@@ -82,9 +78,6 @@ Dnis::hotAdded(pci::PciFunction &)
 {
     // Target platform: bring the (possibly different) VF back up and
     // switch the bond to it for runtime performance.
-    SRIOV_TRACE(sim::TraceCat::Migration,
-                "DNIS: VF %s hot-added on target, bond switching back",
-                vf_->name().c_str());
     vf_->init();
     bond_->setActive(*vf_);
     report_.vf_restored = hv_.eq().now();

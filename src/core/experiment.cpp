@@ -5,7 +5,6 @@
 
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::core {
 
@@ -132,7 +131,7 @@ FigReport::notePackets(std::uint64_t n)
 void
 FigReport::captureTrace(Testbed &tb, const std::function<void()> &drive)
 {
-    if (!opts_.wantTrace() || trace_done_) {
+    auto timed = [&] {
         std::uint64_t before = tb.executedEvents();
         sim::Time s0 = tb.now();
         // simlint:allow(no-wallclock): host-side perf sidecar timing only
@@ -143,29 +142,21 @@ FigReport::captureTrace(Testbed &tb, const std::function<void()> &drive)
         if (const sim::FluidStats *fs = tb.fluidStats())
             perf_.back().fluid = *fs;
         last_perf_unlabelled_ = true;
-        return;
-    }
-    trace_done_ = true;
-    auto &tracer = sim::Tracer::global();
-    tracer.clear();
-    opts_.applyTraceCategories(tracer);
+    };
+    if (opts_.wantTrace() && !trace_done_)
+        traceDrive(tb, timed);
+    else
+        timed();
+}
 
+void
+FigReport::traceDrive(Testbed &tb, const std::function<void()> &drive)
+{
+    trace_done_ = true;
     obs::ChromeTraceWriter w;
     tb.attachObsTrace(w);
-    std::uint64_t before = tb.executedEvents();
-    sim::Time s0 = tb.now();
-    // simlint:allow(no-wallclock): host-side perf sidecar timing only
-    auto t0 = std::chrono::steady_clock::now();
     drive();
-    notePerf("", tb.executedEvents() - before, secondsSince(t0));
-    perf_.back().sim_s = double((tb.now() - s0).picos()) * 1e-12;
-    if (const sim::FluidStats *fs = tb.fluidStats())
-        perf_.back().fluid = *fs;
-    last_perf_unlabelled_ = true;
-    w.importTracer(tracer);
     w.detachAll();
-    tracer.disableAll();
-    tracer.clear();
 
     std::string path = opts_.tracePath();
     if (w.writeTo(path)) {
@@ -181,8 +172,8 @@ FigReport::sweepJobs() const
 {
     if (opts_.wantTrace() && opts_.jobs() > 1) {
         std::fprintf(stderr,
-                     "note: --trace forces --jobs=1 (trace capture is a "
-                     "single global stream)\n");
+                     "note: --trace forces --jobs=1 (the trace captures "
+                     "the first case)\n");
         return 1;
     }
     return opts_.jobs();
@@ -192,33 +183,12 @@ void
 FigReport::caseDrive(FigCase &c, Testbed &tb,
                      const std::function<void()> &fn)
 {
-    if (opts_.wantTrace() && !trace_done_ && sweepJobs() == 1) {
-        // Reuse the shared-trace path, but account the drive to the
-        // case so its perf entry carries the case label.
-        trace_done_ = true;
-        auto &tracer = sim::Tracer::global();
-        tracer.clear();
-        opts_.applyTraceCategories(tracer);
-
-        obs::ChromeTraceWriter w;
-        tb.attachObsTrace(w);
+    // Account the drive to the case either way, so its perf entry
+    // carries the case label.
+    if (opts_.wantTrace() && !trace_done_ && sweepJobs() == 1)
+        traceDrive(tb, [&] { c.drive(tb, fn); });
+    else
         c.drive(tb, fn);
-        w.importTracer(tracer);
-        w.detachAll();
-        tracer.disableAll();
-        tracer.clear();
-
-        std::string path = opts_.tracePath();
-        if (w.writeTo(path)) {
-            std::printf("trace: wrote %s (%zu events, %zu tracks)\n",
-                        path.c_str(), w.eventCount(), w.trackCount());
-        } else {
-            std::fprintf(stderr, "trace: FAILED to write %s\n",
-                         path.c_str());
-        }
-        return;
-    }
-    c.drive(tb, fn);
 }
 
 void

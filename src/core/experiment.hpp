@@ -119,8 +119,8 @@ class FigReport
 
     /**
      * Run @p drive; on the first call with --trace set, capture it as
-     * a Chrome trace of @p tb (CPU-server tracks + tagged events +
-     * enabled Tracer categories) and write the file. Every call also
+     * a Chrome trace of @p tb (CPU work spans + tagged events, one
+     * event track per island) and write the file. Every call also
      * times the drive and records @p tb's executed events for the perf
      * sidecar; the entry is labelled by the next snapshot() call.
      */
@@ -128,7 +128,7 @@ class FigReport
 
     /**
      * Threads to hand core::SweepRunner: --jobs, forced to 1 when a
-     * trace was requested (trace capture is a single global stream).
+     * trace was requested (the trace captures the first case).
      */
     unsigned sweepJobs() const;
 
@@ -184,6 +184,10 @@ class FigReport
         sim::FluidStats fluid;
     };
 
+    /** Run @p drive with a Chrome trace of @p tb attached and write
+     *  the trace file; later calls of captureTrace()/caseDrive() run
+     *  untraced. */
+    void traceDrive(Testbed &tb, const std::function<void()> &drive);
     void notePerf(const std::string &label, std::uint64_t events,
                   double wall_s, std::uint64_t packets = 0);
     bool writePerfSidecar(const std::string &path) const;

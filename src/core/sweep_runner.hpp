@@ -16,10 +16,8 @@
  * per-index storage and merges them *in declaration order* after
  * run() returns (see core::FigReport::mergeCase), so reports and
  * digests are byte-identical for every --jobs value — parallelism
- * changes wall-time only. The one global the simulator has —
- * Tracer::global()'s timestamp clock — is adopt/disown-safe across
- * threads (see sim/trace.hpp), but actual trace capture is inherently
- * single-stream, so FigReport forces jobs=1 when tracing.
+ * changes wall-time only. A Chrome trace captures the first case, so
+ * FigReport forces jobs=1 when tracing.
  *
  * Exceptions: a throwing case does not tear down the process from a
  * worker thread. All cases are allowed to finish, then the exception

@@ -270,9 +270,9 @@ class Testbed
                          const std::string &prefix = "server");
 
     /**
-     * Draw this testbed in @p w: the event queue's tagged events plus
-     * one track per server/client CPU. Detach by destroying @p w (or
-     * w.detachAll()) before the testbed dies.
+     * Draw this testbed in @p w: each island queue's tagged events on
+     * its own track plus one track per server/client CPU. Detach by
+     * destroying @p w (or w.detachAll()) before the testbed dies.
      */
     void attachObsTrace(obs::ChromeTraceWriter &w);
 

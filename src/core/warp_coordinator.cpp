@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::core {
 
@@ -238,13 +237,6 @@ WarpCoordinator::probeCycle(sim::Time deadline, sim::Time period)
     stats_.periods_warped += std::uint64_t(n);
     stats_.warped = stats_.warped + delta;
     stats_.events_elided += per_period * std::uint64_t(n);
-    SRIOV_TRACE(sim::TraceCat::Driver,
-                "warp-coordinator: warped %lld periods of %s across %u "
-                "islands (~%llu events)",
-                static_cast<long long>(n), period.toString().c_str(),
-                isles,
-                static_cast<unsigned long long>(per_period
-                                                * std::uint64_t(n)));
     consecutive_rejects_ = 0;
     last_reject_.clear();
     s0_.reset();
@@ -304,9 +296,6 @@ WarpCoordinator::reject(std::string why)
 {
     stats_.rejected++;
     last_reject_ = std::move(why);
-    SRIOV_TRACE(sim::TraceCat::Driver,
-                "warp-coordinator: cycle rejected: %s",
-                last_reject_.c_str());
     s0_.reset();
     s1_.reset();
     s2_.reset();

@@ -2,7 +2,6 @@
 
 #include "sim/fluid.hpp"
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::drivers {
 
@@ -83,14 +82,10 @@ VfDriver::handlePfEvent(const nic::MboxMessage &msg)
       case nic::MboxMessage::Type::LinkChange:
         phys_link_ = msg.payload != 0;
         sim::fluidTransitionAll(sim::FluidTransition::VmChurn);
-        SRIOV_TRACE(sim::TraceCat::Driver, "%s: PF reports link %s",
-                    cfg_.name.c_str(), phys_link_ ? "up" : "down");
         break;
       case nic::MboxMessage::Type::PfReset:
       case nic::MboxMessage::Type::PfRemoval:
         // The device under us is going away: quiesce immediately.
-        SRIOV_TRACE(sim::TraceCat::Driver, "%s: PF going away, quiescing",
-                    cfg_.name.c_str());
         mbox.ack();
         shutdown();
         return;
@@ -220,10 +215,6 @@ VfDriver::onItrSample()
         return;
     double secs = cfg_.sample_period.toSeconds();
     double hz = itr_->updateHz(period_pkts_ / secs, period_bits_ / secs);
-    SRIOV_TRACE(sim::TraceCat::Driver,
-                "%s: %s retune to %.0f Hz (%.0f pps)",
-                cfg_.name.c_str(), itr_->name().c_str(), hz,
-                period_pkts_ / secs);
     nic_.setItr(pool_, hz);
     period_pkts_ = 0;
     period_bits_ = 0;

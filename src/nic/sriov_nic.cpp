@@ -2,7 +2,6 @@
 
 #include "sim/log.hpp"
 #include "sim/thinning.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::nic {
 
@@ -327,8 +326,6 @@ NicPort::deliverToPool(Pool pool, const Packet &pkt)
         ps.ring.countOverflow();
         ps.stats.rx_drop_ring.inc();
         sim::fluidTransitionAll(sim::FluidTransition::RingEdge);
-        SRIOV_TRACE(sim::TraceCat::Nic, "%s pool %u: ring dry, drop",
-                    name_.c_str(), pool);
         return;
     }
     if (pt_)
@@ -409,8 +406,6 @@ NicPort::requestInterrupt(Pool pool)
             return;
         }
         ps.stats.interrupts.inc();
-        SRIOV_TRACE(sim::TraceCat::Irq, "%s pool %u: raise (itr %.0f Hz)",
-                    name_.c_str(), pool, ps.itr_hz);
         stampRaise(ps);
         noteRaise(ps, pool);
         signalPool(pool);
@@ -426,8 +421,6 @@ NicPort::requestInterrupt(Pool pool)
         return;
     }
     ps.stats.interrupts.inc();
-    SRIOV_TRACE(sim::TraceCat::Irq, "%s pool %u: raise (itr %.0f Hz)",
-                name_.c_str(), pool, ps.itr_hz);
     stampRaise(ps);
     noteRaise(ps, pool);
     signalPool(pool);

@@ -24,37 +24,6 @@ matchFlag(const char *arg, const char *flag)
     return nullptr;
 }
 
-bool
-parseCat(const std::string &name, sim::TraceCat *out)
-{
-    if (name == "irq") { *out = sim::TraceCat::Irq; return true; }
-    if (name == "nic") { *out = sim::TraceCat::Nic; return true; }
-    if (name == "driver") { *out = sim::TraceCat::Driver; return true; }
-    if (name == "backend") { *out = sim::TraceCat::Backend; return true; }
-    if (name == "migration") {
-        *out = sim::TraceCat::Migration;
-        return true;
-    }
-    return false;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &list)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= list.size()) {
-        std::size_t comma = list.find(',', pos);
-        if (comma == std::string::npos) {
-            out.push_back(list.substr(pos));
-            break;
-        }
-        out.push_back(list.substr(pos, comma - pos));
-        pos = comma + 1;
-    }
-    return out;
-}
-
 /** A decimal count: digits only, no sign, no overflow. */
 bool
 parseCount(const char *s, unsigned *out)
@@ -70,6 +39,19 @@ parseCount(const char *s, unsigned *out)
             return false;
     }
     *out = unsigned(v);
+    return true;
+}
+
+/** "--trace" values: bare "--trace" and "1" capture; "0" does not. */
+bool
+parseTrace(const char *s, bool *out)
+{
+    if (*s == '\0' || std::strcmp(s, "1") == 0)
+        *out = true;
+    else if (std::strcmp(s, "0") == 0)
+        *out = false;
+    else
+        return false;
     return true;
 }
 
@@ -142,34 +124,6 @@ rejectValue(const std::string &bench, const char *flag, const char *value,
 
 } // namespace
 
-void
-BenchOptions::parseTraceArg(const std::string &arg)
-{
-    trace_requested_ = true;
-    if (arg.empty() || arg == "1") {
-        all_cats_ = true;
-        return;
-    }
-    // A pure category list ("irq,nic") selects what to trace; anything
-    // else ("out/fig.trace.json") is the output path, all categories.
-    std::vector<sim::TraceCat> cats;
-    bool all = false;
-    for (const std::string &tok : splitCommas(arg)) {
-        sim::TraceCat c;
-        if (tok == "all") {
-            all = true;
-        } else if (parseCat(tok, &c)) {
-            cats.push_back(c);
-        } else {
-            trace_path_ = arg;
-            all_cats_ = true;
-            return;
-        }
-    }
-    cats_ = std::move(cats);
-    all_cats_ = all;
-}
-
 BenchOptions
 BenchOptions::parse(int argc, char **argv, const std::string &bench)
 {
@@ -178,8 +132,9 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
 
     if (const char *env = envValue("SRIOV_BENCH_OUT"))
         o.out_dir_ = env;
-    if (const char *env = envValue("SRIOV_TRACE"))
-        o.parseTraceArg(env);
+    if (const char *env = envValue("SRIOV_TRACE");
+        env != nullptr && !parseTrace(env, &o.trace_requested_))
+        rejectValue(bench, "--trace", env, "SRIOV_TRACE");
     if (const char *env = envValue("SRIOV_BENCH_JOBS");
         env != nullptr && !parseJobs(env, &o.jobs_))
         rejectValue(bench, "--jobs", env, "SRIOV_BENCH_JOBS");
@@ -206,9 +161,10 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
             if (!parseJobs(v, &o.jobs_))
                 rejectValue(bench, "--jobs", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--trace")) {
-            o.parseTraceArg(v);
+            if (!parseTrace(v, &o.trace_requested_))
+                rejectValue(bench, "--trace", v, nullptr);
         } else if (std::strcmp(arg, "--trace") == 0) {
-            o.parseTraceArg("");
+            o.trace_requested_ = true;
         } else if (std::strcmp(arg, "--no-thin") == 0) {
             o.no_thin_ = true;
         } else if (const char *v = matchFlag(arg, "--shards")) {
@@ -246,9 +202,9 @@ BenchOptions::usage(const std::string &bench)
     return "usage: " + bench + " [options]\n"
            "  --out=<dir>    write " + bench + ".json report into <dir>\n"
            "                 (env fallback: SRIOV_BENCH_OUT)\n"
-           "  --trace[=<arg>] capture a Chrome trace_event JSON; <arg>\n"
-           "                 is a category list (irq,nic,driver,\n"
-           "                 backend,migration,all) or an output path\n"
+           "  --trace[=1|0]  capture a Chrome trace_event JSON of the\n"
+           "                 first case (CPU work spans and tagged\n"
+           "                 events) as <out|.>/" + bench + ".trace.json\n"
            "                 (env fallback: SRIOV_TRACE)\n"
            "  --jobs=<n>     run independent sweep cases on <n> host\n"
            "                 threads; results and reports are identical\n"
@@ -356,23 +312,10 @@ BenchOptions::tracePath() const
 {
     if (!trace_requested_)
         return "";
-    if (!trace_path_.empty())
-        return trace_path_;
     std::string dir = out_dir_.empty() ? std::string(".") : out_dir_;
     if (dir.back() != '/')
         dir += '/';
     return dir + bench_ + ".trace.json";
-}
-
-void
-BenchOptions::applyTraceCategories(sim::Tracer &t) const
-{
-    if (all_cats_ || cats_.empty()) {
-        t.enableAll();
-        return;
-    }
-    for (sim::TraceCat c : cats_)
-        t.enable(c);
 }
 
 } // namespace sriov::obs

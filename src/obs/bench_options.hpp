@@ -5,11 +5,9 @@
  *
  * Every bench/figXX accepts:
  *   --out=<dir>    write a machine-readable report (figXX.json) there
- *   --trace=<arg>  capture a Chrome trace_event JSON. <arg> is either
- *                  a comma-separated tracer category list (irq, nic,
- *                  driver, backend, migration, all) — the file then
- *                  lands next to the report as figXX.trace.json — or
- *                  an explicit output path (all categories).
+ *   --trace[=1|0]  capture a Chrome trace_event JSON of the first case
+ *                  (CPU work spans and tagged events) as
+ *                  <out|.>/figXX.trace.json
  *   --jobs=<n>     run independent sweep cases on <n> host threads
  *                  (core::SweepRunner; default 1 = sequential, and
  *                  reports are byte-identical either way)
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "sim/fluid.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::obs {
 
@@ -35,11 +32,11 @@ class BenchOptions
   public:
     /**
      * Parse argv (and the environment). Unknown arguments are kept in
-     * extraArgs() for bench-specific handling. A value that --jobs,
-     * --shards, --fluid or --pathtrace (or its environment fallback)
-     * does not accept is an error: parse() names the flag, prints the
-     * usage text to stderr and exits 2. @p bench is the figure name
-     * ("fig06") used to derive the report path.
+     * extraArgs() for bench-specific handling. A value that --trace,
+     * --jobs, --shards, --fluid or --pathtrace (or its environment
+     * fallback) does not accept is an error: parse() names the flag,
+     * prints the usage text to stderr and exits 2. @p bench is the
+     * figure name ("fig06") used to derive the report path.
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &bench);
@@ -55,8 +52,9 @@ class BenchOptions
     /** "<out_dir>/<bench>.json" (empty when reporting is off). */
     std::string reportPath() const;
 
+    /** --trace[=1|0] (env SRIOV_TRACE). */
     bool wantTrace() const { return trace_requested_; }
-    /** Explicit path, or "<out|.>/<bench>.trace.json" when derived. */
+    /** "<out|.>/<bench>.trace.json" (empty when tracing is off). */
     std::string tracePath() const;
 
     /** Host threads for embarrassingly-parallel sweep cases (>= 1). */
@@ -100,27 +98,19 @@ class BenchOptions
     /** "<out_dir>/<bench>.flightrec.json" — post-mortem dump. */
     std::string flightrecPath() const;
 
-    /** Enable the requested categories on @p t. */
-    void applyTraceCategories(sim::Tracer &t) const;
-
     bool helpRequested() const { return help_; }
 
     const std::vector<std::string> &extraArgs() const { return extra_; }
 
   private:
-    void parseTraceArg(const std::string &arg);
-
     std::string bench_;
     std::string out_dir_;
-    std::string trace_path_;
-    std::vector<sim::TraceCat> cats_;
     unsigned jobs_ = 1;
     unsigned shards_ = 0;
     bool no_thin_ = false;
     sim::FluidMode fluid_mode_ = sim::FluidMode::Off;
     bool trace_requested_ = false;
     bool pathtrace_requested_ = false;
-    bool all_cats_ = false;
     bool help_ = false;
     std::vector<std::string> extra_;
 };

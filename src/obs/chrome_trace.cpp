@@ -90,21 +90,15 @@ void
 ChromeTraceWriter::attachEventQueue(sim::EventQueue &eq,
                                     const std::string &process)
 {
-    queue_tracks_[&eq] = track(process, "events");
-    eq.addExecHook(this);
-    if (std::find(attached_queues_.begin(), attached_queues_.end(), &eq)
-        == attached_queues_.end())
-        attached_queues_.push_back(&eq);
-}
-
-void
-ChromeTraceWriter::importTracer(const sim::Tracer &t,
-                                const std::string &process)
-{
-    for (const sim::TraceRecord &r : t.records()) {
-        Track tr = track(process, sim::traceCatName(r.cat));
-        addInstant(tr, r.text, r.when);
+    Track t = track(process, "events");
+    for (const auto &tap : queue_taps_) {
+        if (&tap->queue == &eq) {
+            tap->track = t;
+            return;
+        }
     }
+    queue_taps_.push_back(std::make_unique<QueueTap>(*this, eq, t));
+    eq.addExecHook(queue_taps_.back().get());
 }
 
 void
@@ -115,9 +109,9 @@ ChromeTraceWriter::detachAll()
             cpu->setSpanTap(nullptr);
     }
     attached_cpus_.clear();
-    for (sim::EventQueue *eq : attached_queues_)
-        eq->removeExecHook(this);
-    attached_queues_.clear();
+    for (const auto &tap : queue_taps_)
+        tap->queue.removeExecHook(tap.get());
+    queue_taps_.clear();
 }
 
 void
@@ -131,17 +125,8 @@ ChromeTraceWriter::onCpuSpan(const sim::CpuServer &cpu, const std::string &tag,
 }
 
 void
-ChromeTraceWriter::onEventStart(sim::Time when, std::uint64_t seq,
-                                const char *tag)
-{
-    (void)when;
-    (void)seq;
-    (void)tag;
-}
-
-void
-ChromeTraceWriter::onEventEnd(sim::Time when, std::uint64_t seq,
-                              const char *tag)
+ChromeTraceWriter::QueueTap::onEventEnd(sim::Time when, std::uint64_t seq,
+                                        const char *tag)
 {
     (void)seq;
     // One instant per executed event would swamp the viewer and the
@@ -149,11 +134,7 @@ ChromeTraceWriter::onEventEnd(sim::Time when, std::uint64_t seq,
     // are interesting enough to mark.
     if (tag == nullptr || *tag == '\0')
         return;
-    for (const auto &[eq, tr] : queue_tracks_) {
-        (void)eq;
-        addInstant(tr, tag, when);
-        break;
-    }
+    writer.addInstant(track, tag, when);
 }
 
 std::string

@@ -3,16 +3,14 @@
  * ChromeTraceWriter: exports simulator activity as Chrome
  * `trace_event` JSON, loadable in Perfetto / chrome://tracing.
  *
- * Three sources feed one timeline (simulated time on the horizontal
+ * Two sources feed one timeline (simulated time on the horizontal
  * axis, microsecond resolution):
  *  - CpuServer work spans — complete ("X") slices on one track per
  *    CPU server, named by the work's accounting tag ("guest-1",
  *    "xen", "dom0", ...). This is the paper's CPU breakdown, drawn.
- *  - EventQueue executions — instant ("i") marks on a per-queue track
- *    (named by the event tag where present), via ExecHook.
- *  - Tracer records — instant marks on one track per trace category
- *    (irq / nic / driver / backend / migration), imported from the
- *    ring buffer after a run.
+ *  - EventQueue executions — instant ("i") marks, named by the event
+ *    tag, on the executing queue's own track (one per attached queue,
+ *    so each island of a partition draws its own events).
  *
  * The writer buffers events in memory up to a cap (keeping the oldest,
  * counting drops) and serializes on demand. Taps attached to
@@ -25,18 +23,17 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/cpu_server.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::obs {
 
-class ChromeTraceWriter : public sim::CpuServer::SpanTap,
-                          public sim::EventQueue::ExecHook
+class ChromeTraceWriter : public sim::CpuServer::SpanTap
 {
   public:
     /** A (process row, thread row) pair in the trace viewer. */
@@ -73,27 +70,18 @@ class ChromeTraceWriter : public sim::CpuServer::SpanTap,
     /** Draw @p cpu's work spans on track (@p process, cpu name). */
     void attachCpu(sim::CpuServer &cpu, const std::string &process);
 
-    /** Mark every executed event on track (@p process, "events"). */
+    /** Mark @p eq's tagged events on track (@p process, "events"). */
     void attachEventQueue(sim::EventQueue &eq,
                           const std::string &process = "sim");
-
-    /** Convert the tracer's ring into instants, one track per category. */
-    void importTracer(const sim::Tracer &t,
-                      const std::string &process = "trace");
 
     /** Remove this writer's taps from every attached source. */
     void detachAll();
 
     /** @} */
 
-    /** @name Tap interfaces (called by the attached sources). @{ */
+    /** SpanTap (called by the attached CPU servers). */
     void onCpuSpan(const sim::CpuServer &cpu, const std::string &tag,
                    sim::Time start, sim::Time end) override;
-    void onEventStart(sim::Time when, std::uint64_t seq,
-                      const char *tag) override;
-    void onEventEnd(sim::Time when, std::uint64_t seq,
-                    const char *tag) override;
-    /** @} */
 
     std::size_t eventCount() const { return events_.size(); }
     std::uint64_t droppedEvents() const { return dropped_; }
@@ -101,7 +89,7 @@ class ChromeTraceWriter : public sim::CpuServer::SpanTap,
 
     /**
      * Capacity drops broken out per (pid, tid) track, so one saturated
-     * track (a chatty packet-trace category, say) cannot silently mask
+     * track (a chatty event queue, say) cannot silently mask
      * drops on another. The sum equals droppedEvents(); toJson()
      * publishes the breakdown as sriovDroppedByTrack.
      */
@@ -129,6 +117,24 @@ class ChromeTraceWriter : public sim::CpuServer::SpanTap,
         std::uint64_t flow_id = 0; // flow events only
     };
 
+    /** The ExecHook of one attached queue: it draws on that queue's
+     *  track (ExecHook calls do not say which queue is executing). */
+    struct QueueTap final : sim::EventQueue::ExecHook
+    {
+        QueueTap(ChromeTraceWriter &w, sim::EventQueue &eq, Track t)
+            : writer(w), queue(eq), track(t)
+        {}
+
+        void onEventStart(sim::Time, std::uint64_t, const char *) override
+        {}
+        void onEventEnd(sim::Time when, std::uint64_t seq,
+                        const char *tag) override;
+
+        ChromeTraceWriter &writer;
+        sim::EventQueue &queue;
+        Track track;
+    };
+
     void push(Event e);
 
     std::size_t max_events_;
@@ -138,9 +144,8 @@ class ChromeTraceWriter : public sim::CpuServer::SpanTap,
     std::map<std::string, int> pids_;
     std::map<std::pair<int, std::string>, int> tids_;
     std::vector<sim::CpuServer *> attached_cpus_;
-    std::vector<sim::EventQueue *> attached_queues_;
+    std::vector<std::unique_ptr<QueueTap>> queue_taps_;
     std::map<const sim::CpuServer *, Track> cpu_tracks_;
-    std::map<const sim::EventQueue *, Track> queue_tracks_;
 };
 
 } // namespace sriov::obs

@@ -3,19 +3,8 @@
 #include <algorithm>
 
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::sim {
-
-EventQueue::EventQueue()
-{
-    Tracer::global().adoptClock(&now_);
-}
-
-EventQueue::~EventQueue()
-{
-    Tracer::global().disownClock(&now_);
-}
 
 void
 EventQueue::addExecHook(ExecHook *h)

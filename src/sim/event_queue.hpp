@@ -105,9 +105,9 @@ class EventQueue
     };
 
     /**
-     * Execution hook for observability tooling (obs::SimProfiler,
-     * obs::ChromeTraceWriter). Unlike the Observer — which is part of
-     * the correctness machinery and changes schedule-in-the-past
+     * Execution hook for observability tooling (obs::ChromeTraceWriter,
+     * perfbench's per-layer host clock). Unlike the Observer — which is
+     * part of the correctness machinery and changes schedule-in-the-past
      * handling — hooks are pure bystanders: they bracket every
      * executed event and cannot alter queue behaviour. With no hooks
      * installed the per-event cost is one branch.
@@ -126,14 +126,7 @@ class EventQueue
                                 const char *tag) = 0;
     };
 
-    /**
-     * Constructs the queue and offers `&now()` to Tracer::global() as
-     * its timestamp clock (adopted only if none is bound; the
-     * destructor disowns it again, so the global tracer never dangles
-     * into a destroyed queue).
-     */
-    EventQueue();
-    ~EventQueue();
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;

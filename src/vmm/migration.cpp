@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 namespace sriov::vmm {
 
@@ -43,11 +42,6 @@ void
 MigrationManager::sendRound(Session s, std::uint64_t pages, unsigned round)
 {
     sim::Time dur = copyTime(s.p, pages);
-    SRIOV_TRACE(sim::TraceCat::Migration,
-                "%s: pre-copy round %u, %llu pages (%.0f ms)",
-                s.dom->name().c_str(), round,
-                static_cast<unsigned long long>(pages),
-                dur.toSeconds() * 1e3);
     s.result.rounds = round;
     s.result.pages_sent += pages;
 
@@ -95,10 +89,6 @@ void
 MigrationManager::stopAndCopy(Session s, std::uint64_t dirty_pages)
 {
     Domain &dom = *s.dom;
-    SRIOV_TRACE(sim::TraceCat::Migration,
-                "%s: stop-and-copy, %llu dirty pages",
-                dom.name().c_str(),
-                static_cast<unsigned long long>(dirty_pages));
     dom.pause();
     s.result.paused_at = hv_.eq().now();
     if (s.on_pause)

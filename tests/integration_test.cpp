@@ -13,7 +13,6 @@
 #include "obs/chrome_trace.hpp"
 #include "obs/metric.hpp"
 #include "obs/pathtrace.hpp"
-#include "obs/profiler.hpp"
 #include "sim/log.hpp"
 #include "sim/shard.hpp"
 #include "sim/thinning.hpp"
@@ -313,42 +312,48 @@ TEST(Integration, IntrLatencyHistogramSeesEoiDeferral)
 
 TEST(Integration, ObservabilityDoesNotPerturbDeterminism)
 {
+    // The whole obs layer is a bystander: same event order, same event
+    // count, same measured result, whether it watches or not. On a
+    // partition the Chrome trace hooks every island queue, which
+    // degrades the run to the calling thread; the schedule must not
+    // notice.
+    struct R
+    {
+        std::uint64_t digest;
+        std::uint64_t executed;
+        double goodput;
+    };
     auto run = [](bool obs_on) {
         Testbed::Params p;
-        p.num_ports = 1;
+        p.num_ports = 2;
         p.opts = OptimizationSet::all();
         Testbed tb(p);
         obs::MetricRegistry reg;
-        obs::SimProfiler prof;
         obs::ChromeTraceWriter trace;
         if (obs_on) {
             tb.enableObs();
             tb.registerMetrics(reg);
-            prof.attach(tb.eq());
             tb.attachObsTrace(trace);
         }
-        auto &g = tb.addGuest(vmm::DomainType::Hvm,
-                              Testbed::NetMode::Sriov);
-        tb.startUdpToGuest(g, 1e9);
+        for (unsigned i = 0; i < 2; ++i) {
+            auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                                  Testbed::NetMode::Sriov);
+            tb.startUdpToGuest(g, 1e9);
+        }
         auto m = tb.measure(sim::Time::sec(1), sim::Time::sec(2));
         trace.detachAll();
-        prof.detach();
-        struct R
-        {
-            std::uint64_t digest;
-            std::uint64_t executed;
-            double goodput;
-        };
-        return R{tb.eq().orderDigest(), tb.eq().executed(),
+        return R{tb.orderDigest(), tb.executedEvents(),
                  m.total_goodput_bps};
     };
-    auto off = run(false);
-    auto on = run(true);
-    // The whole obs layer is a bystander: same event order, same event
-    // count, same measured result, whether it watches or not.
-    EXPECT_EQ(on.digest, off.digest);
-    EXPECT_EQ(on.executed, off.executed);
-    EXPECT_DOUBLE_EQ(on.goodput, off.goodput);
+    for (unsigned shards : {0u, 1u, 4u}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        sim::ShardScope scope(shards);
+        auto off = run(false);
+        auto on = run(true);
+        EXPECT_EQ(on.digest, off.digest);
+        EXPECT_EQ(on.executed, off.executed);
+        EXPECT_DOUBLE_EQ(on.goodput, off.goodput);
+    }
 }
 
 TEST(Integration, GoldenDigestFig06SmokeIsPinned)

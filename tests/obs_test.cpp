@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,12 +24,10 @@
 #include "obs/json.hpp"
 #include "obs/metric.hpp"
 #include "obs/pathtrace.hpp"
-#include "obs/profiler.hpp"
 #include "obs/report.hpp"
 #include "sim/cpu_server.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 using namespace sriov;
 using namespace sriov::obs;
@@ -324,24 +323,37 @@ TEST(ChromeTrace, CapturesCpuServerSpans)
     EXPECT_TRUE(found);
 }
 
-TEST(ChromeTrace, ImportsTracerRecordsPerCategoryTracks)
+TEST(ChromeTrace, EachQueueDrawsItsOwnEventTrack)
 {
-    sim::Tracer t(16);
-    t.enable(sim::TraceCat::Irq);
-    t.enable(sim::TraceCat::Nic);
-    t.record(sim::TraceCat::Irq, "vector 0x41");
-    t.record(sim::TraceCat::Nic, "rx frame");
-
+    // Two islands' queues: each tagged event lands on the track of the
+    // queue that executed it, not on whichever queue sorts first.
+    sim::EventQueue server, client;
     ChromeTraceWriter w;
-    w.importTracer(t);
+    w.attachEventQueue(server, "sim.s0");
+    w.attachEventQueue(client, "sim.c0");
+    server.scheduleAt(sim::Time::us(1), []() {}, "server.tick");
+    client.scheduleAt(sim::Time::us(2), []() {}, "client.tick");
+    server.runAll();
+    client.runAll();
+    w.detachAll();
+    EXPECT_EQ(server.execHookCount(), 0u);
+    EXPECT_EQ(client.execHookCount(), 0u);
+
     auto doc = JsonValue::parse(w.toJson());
     ASSERT_TRUE(doc.has_value());
-    std::set<double> tids;
+    std::map<double, std::string> process;    // pid -> process name
+    std::map<std::string, double> pid_of;     // instant name -> pid
     for (const JsonValue &e : doc->find("traceEvents")->items) {
-        if (e.find("ph")->str == "i")
-            tids.insert(e.find("tid")->number);
+        const std::string &ph = e.find("ph")->str;
+        if (ph == "M" && e.find("name")->str == "process_name")
+            process[e.find("pid")->number] =
+                e.find("args")->find("name")->str;
+        else if (ph == "i")
+            pid_of[e.find("name")->str] = e.find("pid")->number;
     }
-    EXPECT_EQ(tids.size(), 2u); // one track per category
+    ASSERT_EQ(pid_of.size(), 2u);
+    EXPECT_EQ(process[pid_of["server.tick"]], "sim.s0");
+    EXPECT_EQ(process[pid_of["client.tick"]], "sim.c0");
 }
 
 TEST(ChromeTrace, DropsAtCapacityKeepingOldest)
@@ -440,28 +452,16 @@ TEST(BenchOptions, DefaultsOff)
 
 TEST(BenchOptions, OutDirDerivesReportAndTracePaths)
 {
-    auto o = parseArgs({"--out=bench/out", "--trace=irq,nic"}, "fig06");
+    auto o = parseArgs({"--out=bench/out", "--trace"}, "fig06");
     EXPECT_TRUE(o.wantReport());
     EXPECT_EQ(o.reportPath(), "bench/out/fig06.json");
     EXPECT_TRUE(o.wantTrace());
     EXPECT_EQ(o.tracePath(), "bench/out/fig06.trace.json");
-
-    sim::Tracer t;
-    o.applyTraceCategories(t);
-    EXPECT_TRUE(t.enabled(sim::TraceCat::Irq));
-    EXPECT_TRUE(t.enabled(sim::TraceCat::Nic));
-    EXPECT_FALSE(t.enabled(sim::TraceCat::Migration));
-}
-
-TEST(BenchOptions, TraceArgAsExplicitPathEnablesAll)
-{
-    auto o = parseArgs({"--trace=/tmp/x.json"});
-    EXPECT_TRUE(o.wantTrace());
-    EXPECT_EQ(o.tracePath(), "/tmp/x.json");
-    sim::Tracer t;
-    o.applyTraceCategories(t);
-    EXPECT_TRUE(t.anyEnabled());
-    EXPECT_TRUE(t.enabled(sim::TraceCat::Migration));
+    // Without --out the trace lands in the working directory.
+    EXPECT_EQ(parseArgs({"--trace=1"}, "fig06").tracePath(),
+              "./fig06.trace.json");
+    EXPECT_FALSE(parseArgs({"--trace=0"}).wantTrace());
+    EXPECT_EQ(parseArgs({"--trace=0"}).tracePath(), "");
 }
 
 TEST(BenchOptions, UnknownArgsAreKept)
@@ -475,16 +475,17 @@ TEST(BenchOptions, UnknownArgsAreKept)
 TEST(BenchOptions, EnvironmentFallback)
 {
     ::setenv("SRIOV_BENCH_OUT", "/tmp/envout", 1);
-    ::setenv("SRIOV_TRACE", "migration", 1);
+    ::setenv("SRIOV_TRACE", "1", 1);
     auto o = parseArgs({}, "fig20");
     ::unsetenv("SRIOV_BENCH_OUT");
-    ::unsetenv("SRIOV_TRACE");
     EXPECT_EQ(o.reportPath(), "/tmp/envout/fig20.json");
     EXPECT_TRUE(o.wantTrace());
-    sim::Tracer t;
-    o.applyTraceCategories(t);
-    EXPECT_TRUE(t.enabled(sim::TraceCat::Migration));
-    EXPECT_FALSE(t.enabled(sim::TraceCat::Irq));
+    EXPECT_EQ(o.tracePath(), "/tmp/envout/fig20.trace.json");
+    // The flag overrides its environment fallback.
+    ::setenv("SRIOV_TRACE", "0", 1);
+    EXPECT_FALSE(parseArgs({}).wantTrace());
+    EXPECT_TRUE(parseArgs({"--trace"}).wantTrace());
+    ::unsetenv("SRIOV_TRACE");
 }
 
 TEST(BenchOptions, AcceptsEveryDocumentedModeValue)
@@ -553,6 +554,25 @@ TEST(BenchOptionsDeathTest, RejectsUnknownPathTraceMode)
         ".*usage");
 }
 
+TEST(BenchOptionsDeathTest, RejectsTraceCategoriesAndPaths)
+{
+    // --trace is a switch: a category list or an output path from the
+    // old grammar must not quietly become a file named after it.
+    EXPECT_EXIT(parseArgs({"--trace=irq,nic"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --trace value 'irq,nic'.*usage: fig06");
+    EXPECT_EXIT(parseArgs({"--trace=/tmp/x.json"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --trace value '/tmp/x.json'.*usage: fig06");
+    EXPECT_EXIT(
+        {
+            ::setenv("SRIOV_TRACE", "nic", 1);
+            parseArgs({}, "fig06");
+        },
+        ::testing::ExitedWithCode(2),
+        "invalid --trace value 'nic' \\(from SRIOV_TRACE\\).*usage");
+}
+
 TEST(BenchOptionsDeathTest, RejectsNonNumericJobs)
 {
     EXPECT_EXIT(parseArgs({"--jobs=abc"}, "fig06"),
@@ -579,41 +599,6 @@ TEST(BenchOptionsDeathTest, RejectsZeroJobs)
         },
         ::testing::ExitedWithCode(2),
         "invalid --jobs value '0' \\(from SRIOV_BENCH_JOBS\\).*usage");
-}
-
-// ------------------------------------------------------------ SimProfiler
-
-TEST(SimProfiler, AttributesHostTimeByTag)
-{
-    sim::EventQueue eq;
-    SimProfiler prof;
-    prof.attach(eq);
-    for (int i = 0; i < 10; ++i)
-        eq.scheduleIn(sim::Time::ns(i), []() {}, "nic.rx");
-    eq.scheduleIn(sim::Time::us(1), []() {}, "intr.timer");
-    eq.runAll();
-    prof.detach();
-    EXPECT_EQ(eq.execHookCount(), 0u);
-
-    EXPECT_EQ(prof.totalEvents(), 11u);
-    auto tags = prof.byTag();
-    ASSERT_FALSE(tags.empty());
-    std::uint64_t nic = 0, intr = 0;
-    for (const auto &t : tags) {
-        if (t.tag == "nic.rx")
-            nic = t.events;
-        if (t.tag == "intr.timer")
-            intr = t.events;
-    }
-    EXPECT_EQ(nic, 10u);
-    EXPECT_EQ(intr, 1u);
-
-    auto comps = prof.byComponent();
-    bool nic_comp = false;
-    for (const auto &c : comps)
-        nic_comp = nic_comp || (c.tag == "nic" && c.events == 10);
-    EXPECT_TRUE(nic_comp);
-    EXPECT_FALSE(prof.toString().empty());
 }
 
 // ---------------------------------------------------------------- PathTrace

@@ -20,7 +20,6 @@
 #include "sim/ring_buf.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 
 using namespace sriov::sim;
 
@@ -303,80 +302,6 @@ TEST(Stats, RateWindowZeroWidthDoesNotDiscard)
     EXPECT_DOUBLE_EQ(w.take(Time::sec(1)), 0.0);
     EXPECT_DOUBLE_EQ(w.take(Time::ms(500)), 0.0);
     EXPECT_DOUBLE_EQ(w.take(Time::sec(2)), 100.0);
-}
-
-TEST(Trace, RingWraparoundCountsDrops)
-{
-    Tracer t(/*capacity=*/4);
-    t.enable(TraceCat::Nic);
-    for (int i = 0; i < 10; ++i)
-        t.recordf(TraceCat::Nic, "r%d", i);
-    EXPECT_EQ(t.size(), 4u);
-    EXPECT_EQ(t.totalRecorded(), 10u);
-    EXPECT_EQ(t.droppedRecords(), 6u);
-    // The ring keeps the NEWEST records.
-    EXPECT_EQ(t.records().front().text, "r6");
-    EXPECT_EQ(t.records().back().text, "r9");
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.droppedRecords(), 0u);
-}
-
-TEST(Trace, DisabledCategoryRecordsNothing)
-{
-    Tracer t;
-    t.enable(TraceCat::Irq);
-    t.record(TraceCat::Nic, "dropped");
-    t.record(TraceCat::Irq, "kept");
-    ASSERT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.records().front().text, "kept");
-}
-
-TEST(Trace, GlobalClockAdoptedAndDisownedByQueue)
-{
-    auto &g = Tracer::global();
-    const Time *before = g.clock();
-    {
-        EventQueue eq;
-        const Time *bound = g.clock();
-        // A fresh queue adopts the clock only when none is bound.
-        if (before == nullptr)
-            EXPECT_NE(bound, nullptr);
-        else
-            EXPECT_EQ(bound, before);
-        {
-            EventQueue second;
-            // A second queue must not steal an existing binding...
-            EXPECT_EQ(g.clock(), bound);
-        }
-        // ...and destroying it must not clear someone else's binding.
-        EXPECT_EQ(g.clock(), bound);
-    }
-    // Regression for the dangling-clock hazard: after the owning queue
-    // dies, the global tracer must not keep pointing into it.
-    EXPECT_EQ(g.clock(), before);
-}
-
-TEST(Trace, RecordAfterQueueDestructionIsSafe)
-{
-    auto &g = Tracer::global();
-    const Time *before = g.clock();
-    if (before != nullptr)
-        GTEST_SKIP() << "another queue owns the global clock";
-    {
-        EventQueue eq;
-        eq.scheduleAt(Time::us(5), []() {});
-        eq.runAll();
-        g.enable(TraceCat::Irq);
-        g.record(TraceCat::Irq, "live");
-        EXPECT_EQ(g.records().back().when, Time::us(5));
-    }
-    // The queue is gone; recording must not touch freed memory and
-    // timestamps degrade to 0.
-    g.record(TraceCat::Irq, "after");
-    EXPECT_EQ(g.records().back().when, Time());
-    g.disable(TraceCat::Irq);
-    g.clear();
 }
 
 namespace {

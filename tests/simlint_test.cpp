@@ -63,7 +63,7 @@ TEST(SimlintWallclock, OnlyAppliesUnderSrc)
 
 TEST(SimlintWallclock, MemberNamedClockIsNotLibcClock)
 {
-    // Tracer::clock() / obj.time() are member accessors, not wallclock.
+    // t.clock() / obj.time() are member accessors, not wallclock.
     auto fs = lint("void f(Tracer &t) { auto c = t.clock(); }\n"
                    "void g(Obj *o) { o->time(); }\n");
     EXPECT_TRUE(fs.empty());

@@ -1,17 +1,13 @@
 /**
  * @file
  * Unit tests for the Testbed harness itself (topology construction,
- * guest wiring variants, measurement plumbing) and for the sim::Tracer
- * diagnostics that thread through it.
+ * guest wiring variants, measurement plumbing).
  */
 
 #include <gtest/gtest.h>
 
-#include "core/dnis.hpp"
 #include "core/testbed.hpp"
-#include "vmm/hotplug_controller.hpp"
 #include "sim/log.hpp"
-#include "sim/trace.hpp"
 
 using namespace sriov;
 using namespace sriov::core;
@@ -122,98 +118,4 @@ TEST(TestbedMeasurement, Dom0NetIsCreatedOnce)
     auto &a = tb.dom0Net(0);
     auto &b = tb.dom0Net(0);
     EXPECT_EQ(&a, &b);
-}
-
-TEST(Tracer, CategoriesFilterRecords)
-{
-    sim::Tracer t;
-    t.record(sim::TraceCat::Nic, "dropped");    // disabled: ignored
-    EXPECT_EQ(t.size(), 0u);
-    t.enable(sim::TraceCat::Nic);
-    t.record(sim::TraceCat::Nic, "dropped");
-    t.record(sim::TraceCat::Irq, "raise");      // still disabled
-    EXPECT_EQ(t.size(), 1u);
-    EXPECT_EQ(t.ofCategory(sim::TraceCat::Nic).size(), 1u);
-    EXPECT_NE(t.toString().find("nic: dropped"), std::string::npos);
-}
-
-TEST(Tracer, RingBufferBoundsMemory)
-{
-    sim::Tracer t(/*capacity=*/4);
-    t.enable(sim::TraceCat::Irq);
-    for (int i = 0; i < 10; ++i)
-        t.recordf(sim::TraceCat::Irq, "event %d", i);
-    EXPECT_EQ(t.size(), 4u);
-    EXPECT_EQ(t.totalRecorded(), 10u);
-    EXPECT_EQ(t.droppedRecords(), 6u);
-    // Oldest survivors are 6..9.
-    EXPECT_EQ(t.records().front().text, "event 6");
-    t.clear();
-    EXPECT_EQ(t.size(), 0u);
-}
-
-TEST(Tracer, TimestampsComeFromTheClock)
-{
-    sim::Tracer t;
-    sim::Time now = sim::Time::us(42);
-    t.setClock(&now);
-    t.enable(sim::TraceCat::Driver);
-    t.record(sim::TraceCat::Driver, "x");
-    EXPECT_EQ(t.records().front().when, sim::Time::us(42));
-    t.setClock(nullptr);
-}
-
-TEST(Tracer, GlobalTracerCapturesNicDrops)
-{
-    auto &gt = sim::Tracer::global();
-    gt.clear();
-    gt.enable(sim::TraceCat::Nic);
-
-    sim::EventQueue eq;
-    nic::SriovNic nic(eq, "tr0", pci::Bdf{1, 0, 0});
-    nic.sriovCap().setNumVfs(1);
-    nic.sriovCap().setVfEnable(true);
-    nic.functionOf(1).config().write(
-        pci::cfg::kCommand,
-        pci::cfg::kCmdMemEnable | pci::cfg::kCmdBusMaster, 2);
-    nic.setPoolFilter(1, nic::MacAddr::make(1, 1));
-    nic::Packet p;
-    p.dst = nic::MacAddr::make(1, 1);
-    p.bytes = nic::frame::udpFrame(64);
-    nic.receive(p);    // no buffers posted: ring-dry drop
-    eq.runAll();
-    EXPECT_GE(gt.ofCategory(sim::TraceCat::Nic).size(), 1u);
-    gt.disableAll();
-    gt.clear();
-}
-
-TEST(Tracer, MigrationTraceNarratesDnis)
-{
-    auto &gt = sim::Tracer::global();
-    gt.clear();
-    gt.enable(sim::TraceCat::Migration);
-
-    Testbed::Params p;
-    p.num_ports = 1;
-    p.guest_mem = 64ull << 20;
-    p.netback_threads = 2;
-    Testbed tb(p);
-    auto &g = tb.addGuest(vmm::DomainType::Hvm, Testbed::NetMode::Sriov,
-                          guest::KernelVersion::v2_6_28, true);
-    vmm::VirtualHotplugController hpc(*g.dom);
-    auto &slot = hpc.addSlot("s");
-    Dnis dnis(tb.server(), tb.migration());
-    dnis.manage(*g.dom, *g.vf, *g.pv, *g.bond, slot);
-    bool done = false;
-    dnis.migrate(Dnis::Params{}, [&](const Dnis::Report &) { done = true; });
-    tb.run(sim::Time::sec(30));
-    ASSERT_TRUE(done);
-
-    std::string log = gt.toString();
-    EXPECT_NE(log.find("quiescing VF"), std::string::npos);
-    EXPECT_NE(log.find("pre-copy round"), std::string::npos);
-    EXPECT_NE(log.find("stop-and-copy"), std::string::npos);
-    EXPECT_NE(log.find("hot-added on target"), std::string::npos);
-    gt.disableAll();
-    gt.clear();
 }

@@ -424,8 +424,8 @@ ruleNoWallclock(const std::string &file, const std::vector<Token> &t,
         "random_device",   "mt19937",      "mt19937_64",
         "default_random_engine"};
     // Unqualified-call bans. Bare `clock` is deliberately absent:
-    // accessor members named clock() (sim::Tracer has one) collide,
-    // and the chrono clock types above already cover host time.
+    // it would collide with accessor members named clock(), and the
+    // chrono clock types above already cover host time.
     static const std::set<std::string> kBannedCalls = {
         "time",     "gettimeofday", "clock_gettime", "localtime",
         "gmtime",   "rand",         "srand",         "random",
