@@ -8,6 +8,7 @@
  * overhead is estimated").
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,9 +33,13 @@ main(int argc, char **argv)
     fr.report().setConfig("offered_gbps", 2.0);
     fr.report().setConfig("measure_s", 4.0);
 
-    core::Table t({"r", "RX BW(Mb/s)", "loss", "irq/s", "guest CPU"});
-    std::vector<double> r_axis, loss_series, irq_series;
-    for (double r : {0.8, 1.0, 1.1, 1.2, 1.5, 2.0}) {
+    const std::vector<double> rs{0.8, 1.0, 1.1, 1.2, 1.5, 2.0};
+    std::vector<std::string> labels;
+    for (double r : rs)
+        labels.push_back("r" + core::Table::num(r, 1));
+    std::vector<double> rx(rs.size()), tx(rs.size()), loss(rs.size()),
+        irq_rate(rs.size()), guest_pct(rs.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
         core::Testbed::Params p;
         p.num_ports = 1;
         p.opts = core::OptimizationSet::maskEoi();
@@ -43,42 +48,42 @@ main(int argc, char **argv)
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
                               core::Testbed::NetMode::Sriov);
         drivers::AicItr::Params ap;
-        ap.r = r;
+        ap.r = rs[i];
         g.vf->setItrPolicy(std::make_unique<drivers::AicItr>(ap));
 
         auto &snd = tb.startUdpFromDom0(g, 2e9);
-        fr.instrument(tb);
+        c.instrument(tb);
         core::Testbed::Measurement m;
         std::uint64_t irqs0 = 0, sent0 = 0;
-        fr.captureTrace(tb, [&]() {
+        c.drive(tb, [&]() {
             tb.run(sim::Time::sec(2));
             irqs0 = g.vf->deviceStats().interrupts.value();
             sent0 = snd.sentBytes();
             m = tb.measure(sim::Time(), sim::Time::sec(4));
         });
-        double tx = double(snd.sentBytes() - sent0) * 8.0 / m.seconds;
-        double loss =
-            tx > 0 ? 100.0 * (tx - m.total_goodput_bps) / tx : 0.0;
-        double irq_rate =
+        tx[i] = double(snd.sentBytes() - sent0) * 8.0 / m.seconds;
+        rx[i] = m.total_goodput_bps;
+        loss[i] = tx[i] > 0 ? 100.0 * (tx[i] - rx[i]) / tx[i] : 0.0;
+        irq_rate[i] =
             (g.vf->deviceStats().interrupts.value() - irqs0) / m.seconds;
-        r_axis.push_back(r);
-        loss_series.push_back(loss);
-        irq_series.push_back(irq_rate);
-        if (r == 1.2) {
-            fr.snapshot("r1.2");
-            // Paper's pick: r = 1.2 keeps up with the offered load.
-            fr.expect("rx_mbps_at_r1.2", m.total_goodput_bps / 1e6,
-                      tx / 1e6, 3);
-        }
+        guest_pct[i] = m.guests_pct;
+        if (rs[i] == 1.2)
+            c.snapshot(c.label());
+    });
 
-        t.addRow({core::Table::num(r, 1),
-                  core::Table::num(m.total_goodput_bps / 1e6, 0),
-                  core::Table::num(loss, 1) + "%",
-                  core::Table::num(irq_rate, 0),
-                  core::cpuPct(m.guests_pct)});
+    core::Table t({"r", "RX BW(Mb/s)", "loss", "irq/s", "guest CPU"});
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        // Paper's pick: r = 1.2 keeps up with the offered load.
+        if (rs[i] == 1.2)
+            fr.expect("rx_mbps_at_r1.2", rx[i] / 1e6, tx[i] / 1e6, 3);
+        t.addRow({core::Table::num(rs[i], 1),
+                  core::Table::num(rx[i] / 1e6, 0),
+                  core::Table::num(loss[i], 1) + "%",
+                  core::Table::num(irq_rate[i], 0),
+                  core::cpuPct(guest_pct[i])});
     }
-    fr.report().addSeries("loss_pct_vs_r", r_axis, loss_series);
-    fr.report().addSeries("irq_per_s_vs_r", r_axis, irq_series);
+    fr.report().addSeries("loss_pct_vs_r", rs, loss);
+    fr.report().addSeries("irq_per_s_vs_r", rs, irq_rate);
     t.print();
     std::printf("\nexpected: loss at r < ~1 (no headroom for the "
                 "hypervisor), wasted interrupts at large r; the paper "

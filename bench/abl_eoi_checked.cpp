@@ -9,8 +9,10 @@
  * contained within the guest.
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/testbed.hpp"
@@ -38,14 +40,20 @@ main(int argc, char **argv)
         bool check;
         bool hw_opcode = false;
     };
-    core::Table t({"EOI path", "Xen CPU", "Mcycles/s virt overhead",
-                   "cyc/EOI"});
-    for (Case c : {Case{"fetch-decode-emulate", false, false},
-                   Case{"accelerated + check", true, true},
-                   Case{"accelerated (paper's choice)", true, false},
-                   // §5.2's proposed hardware enhancement: the VMCS
-                   // exposes the op-code, making the check free.
-                   Case{"accelerated + hw op-code", true, true, true}}) {
+    const std::vector<Case> cases{
+        Case{"fetch-decode-emulate", false, false},
+        Case{"accelerated + check", true, true},
+        Case{"accelerated (paper's choice)", true, false},
+        // §5.2's proposed hardware enhancement: the VMCS exposes the
+        // op-code, making the check free.
+        Case{"accelerated + hw op-code", true, true, true}};
+    std::vector<std::string> labels;
+    for (const Case &c : cases)
+        labels.emplace_back(c.label);
+    std::vector<double> per_eoi(cases.size());
+    std::vector<std::vector<std::string>> rows(cases.size());
+    fr.sweep(labels, [&](core::FigCase &fc, std::size_t i) {
+        const Case &c = cases[i];
         core::Testbed::Params p;
         p.num_ports = 1;
         p.itr = "adaptive";
@@ -58,36 +66,41 @@ main(int argc, char **argv)
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
                               core::Testbed::NetMode::Sriov);
         tb.startUdpToGuest(g, p.line_bps);
-        fr.instrument(tb);
+        fc.instrument(tb);
         core::Testbed::Measurement m;
-        fr.captureTrace(tb, [&]() {
+        fc.drive(tb, [&]() {
             tb.run(sim::Time::sec(2));
             g.dom->exits().reset();
             m = tb.measure(sim::Time(), sim::Time::sec(5));
         });
 
         const auto &cm = tb.server().costs();
-        double per_eoi = !c.accel
-                             ? cm.apic_access_emulate
-                             : cm.eoi_accelerated
-                                   + (c.check && !c.hw_opcode
-                                          ? cm.eoi_instr_check
-                                          : 0);
-        fr.snapshot(c.label);
-        fr.report().addMetric(std::string(c.label) + ".cyc_per_eoi",
-                              per_eoi);
+        per_eoi[i] = !c.accel ? cm.apic_access_emulate
+                              : cm.eoi_accelerated
+                                    + (c.check && !c.hw_opcode
+                                           ? cm.eoi_instr_check
+                                           : 0);
+        fc.snapshot(c.label);
+        fc.addMetric(std::string(c.label) + ".cyc_per_eoi", per_eoi[i]);
+        rows[i] = {c.label, core::cpuPct(m.xen_pct),
+                   core::Table::num(
+                       g.dom->exits().totalCycles() / m.seconds / 1e6, 1),
+                   core::Table::num(per_eoi[i], 0)};
+    });
+
+    core::Table t({"EOI path", "Xen CPU", "Mcycles/s virt overhead",
+                   "cyc/EOI"});
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const Case &c = cases[i];
         // Paper: 8.4K unaccelerated; 2.5K accelerated; +1.8K check.
         if (!c.accel)
-            fr.expect("unaccel_cyc_per_eoi", per_eoi, 8400, 1);
+            fr.expect("unaccel_cyc_per_eoi", per_eoi[i], 8400, 1);
         else if (c.check && !c.hw_opcode)
-            fr.expect("checked_cyc_per_eoi", per_eoi, 4300, 1);
+            fr.expect("checked_cyc_per_eoi", per_eoi[i], 4300, 1);
         else
-            fr.expect(std::string(c.label) + ".cyc_per_eoi", per_eoi,
+            fr.expect(std::string(c.label) + ".cyc_per_eoi", per_eoi[i],
                       2500, 1);
-        t.addRow({c.label, core::cpuPct(m.xen_pct),
-                  core::Table::num(
-                      g.dom->exits().totalCycles() / m.seconds / 1e6, 1),
-                  core::Table::num(per_eoi, 0)});
+        t.addRow(rows[i]);
     }
     t.print();
     std::printf("\npaper: 8.4K unaccelerated, 2.5K accelerated, +1.8K "

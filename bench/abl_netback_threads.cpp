@@ -7,6 +7,7 @@
  * for fair comparison".
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,25 +31,28 @@ main(int argc, char **argv)
     fr.report().setConfig("ports", 10.0);
     fr.report().setConfig("measure_s", 4.0);
 
-    core::Table t({"threads", "throughput(Gb/s)", "dom0 CPU",
-                   "backlog drops/s"});
-    std::vector<double> thread_axis, bw_gbps;
-    for (unsigned threads : {1u, 2u, 4u, 7u}) {
+    const std::vector<unsigned> threads{1u, 2u, 4u, 7u};
+    std::vector<std::string> labels;
+    for (unsigned n : threads)
+        labels.push_back(std::to_string(n) + "-thread");
+    std::vector<double> bw_gbps(threads.size());
+    std::vector<std::vector<std::string>> rows(threads.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
         core::Testbed::Params p;
         p.num_ports = 10;
         p.opts = core::OptimizationSet::maskEoi();
-        p.netback_threads = threads;
+        p.netback_threads = threads[i];
         core::Testbed tb(p);
 
-        for (unsigned i = 0; i < 10; ++i) {
+        for (unsigned v = 0; v < 10; ++v) {
             auto &g = tb.addGuest(vmm::DomainType::Hvm,
                                   core::Testbed::NetMode::Pv);
             tb.startUdpToGuest(g, p.line_bps);
         }
-        fr.instrument(tb);
+        c.instrument(tb);
         core::Testbed::Measurement m;
         std::uint64_t drops0 = 0;
-        fr.captureTrace(tb, [&]() {
+        c.drive(tb, [&]() {
             tb.run(sim::Time::sec(2));
             for (unsigned port = 0; port < 10; ++port)
                 drops0 += tb.netback(port).backlogDrops();
@@ -57,20 +61,22 @@ main(int argc, char **argv)
         std::uint64_t drops = 0;
         for (unsigned port = 0; port < 10; ++port)
             drops += tb.netback(port).backlogDrops();
-        thread_axis.push_back(double(threads));
-        bw_gbps.push_back(m.total_goodput_bps / 1e9);
-        if (threads == 1) {
-            fr.snapshot("1-thread");
-            // Paper §6.5: one thread saturates a core around 3.6 Gb/s.
-            fr.expect("1thread_gbps", m.total_goodput_bps / 1e9, 3.6,
-                      15);
-        }
+        bw_gbps[i] = m.total_goodput_bps / 1e9;
+        if (threads[i] == 1)
+            c.snapshot(c.label());
+        rows[i] = {core::Table::num(threads[i], 0),
+                   core::gbps(m.total_goodput_bps), core::cpuPct(m.dom0_pct),
+                   core::Table::num(double(drops - drops0) / m.seconds, 0)};
+    });
 
-        t.addRow({core::Table::num(threads, 0),
-                  core::gbps(m.total_goodput_bps),
-                  core::cpuPct(m.dom0_pct),
-                  core::Table::num(double(drops - drops0) / m.seconds,
-                                   0)});
+    core::Table t({"threads", "throughput(Gb/s)", "dom0 CPU",
+                   "backlog drops/s"});
+    std::vector<double> thread_axis(threads.begin(), threads.end());
+    for (std::size_t i = 0; i < threads.size(); ++i) {
+        // Paper §6.5: one thread saturates a core around 3.6 Gb/s.
+        if (threads[i] == 1)
+            fr.expect("1thread_gbps", bw_gbps[i], 3.6, 15);
+        t.addRow(rows[i]);
     }
     fr.report().addSeries("goodput_gbps_vs_threads", thread_axis,
                           bw_gbps);

@@ -20,7 +20,8 @@
  * off it is simply a long, honest soak test.
  *
  * Usage beyond the standard BenchOptions flags:
- *   --hosts=<n>   rack size (default 1; n > 1 needs --shards>=1)
+ *   --hosts=<n>   rack size, a count >= 1 (default 1; n > 1 needs
+ *                 --shards>=1); any other value exits 2
  *
  * The report asserts conservation over the whole hour-scale horizon:
  * line-rate goodput on every host throughout, and a warp fraction
@@ -43,17 +44,11 @@ main(int argc, char **argv)
     sim::setLogLevel(sim::LogLevel::Quiet);
     core::FigReport fr(argc, argv, "longrun",
                        "60 simulated seconds, 20 HVM VMs per host, "
-                       "fluid warp x shards");
+                       "fluid warp x shards",
+                       {"--hosts"});
     if (fr.helpShown())
         return 0;
-
-    unsigned hosts = 1;
-    for (const std::string &a : fr.options().extraArgs()) {
-        if (a.rfind("--hosts=", 0) == 0)
-            hosts = unsigned(std::stoul(a.substr(8)));
-    }
-    if (hosts == 0)
-        hosts = 1;
+    const unsigned hosts = fr.options().countArg("--hosts", 1);
 
     constexpr unsigned kVmsPerHost = 20;
     constexpr unsigned kPortsPerHost = 10;
@@ -91,14 +86,16 @@ main(int argc, char **argv)
             tb.startUdpToGuest(g, per_guest);
         }
     }
-    fr.instrument(tb);
 
     core::Testbed::Measurement m;
-    fr.captureTrace(tb, [&]() {
-        m = tb.measure(sim::Time::sec(2),
-                       sim::Time::sec(kSimSeconds - 2));
+    fr.sweep({"60s"}, [&](core::FigCase &c, std::size_t) {
+        c.instrument(tb);
+        c.drive(tb, [&]() {
+            m = tb.measure(sim::Time::sec(2),
+                           sim::Time::sec(kSimSeconds - 2));
+        });
+        c.snapshot(c.label());
     });
-    fr.snapshot("60s");
 
     double warped_s = 0;
     std::uint64_t elided = 0, segments = 0;

@@ -721,8 +721,8 @@ perfCrossShardPing(core::FigReport &fr)
 int
 main(int argc, char **argv)
 {
-    // google-benchmark consumes its --benchmark_* flags; FigReport's
-    // parser takes --out/--jobs and ignores what it doesn't know.
+    // google-benchmark consumes its --benchmark_* flags first;
+    // FigReport's parser takes the rest and exits 2 on an unknown one.
     benchmark::Initialize(&argc, argv);
     core::FigReport fr(argc, argv, "microkernel",
                        "Simulator substrate microbenchmarks");

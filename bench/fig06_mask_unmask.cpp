@@ -17,7 +17,6 @@
 
 #include "check/determinism.hpp"
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "sim/log.hpp"
 
@@ -36,7 +35,7 @@ struct Row
 };
 
 Row
-runCase(core::FigReport &fr, core::FigCase &c, unsigned vms, bool opt)
+runCase(core::FigCase &c, unsigned vms, bool opt)
 {
     core::Testbed::Params p;
     p.num_ports = 1;
@@ -54,9 +53,8 @@ runCase(core::FigReport &fr, core::FigCase &c, unsigned vms, bool opt)
     }
     c.instrument(tb);
     core::Testbed::Measurement m;
-    fr.caseDrive(
-        c, tb,
-        [&]() { m = tb.measure(sim::Time::sec(2), sim::Time::sec(5)); });
+    c.drive(tb,
+            [&]() { m = tb.measure(sim::Time::sec(2), sim::Time::sec(5)); });
     std::uint64_t pkts = 0;
     for (std::size_t i = 0; i < tb.guestCount(); ++i)
         if (tb.guest(i).rx)
@@ -113,43 +111,34 @@ main(int argc, char **argv)
     fr.report().setConfig("ports", 1.0);
     fr.report().setConfig("measure_s", 5.0);
 
-    // The 14 (optimization × VM-count) cells are independent
-    // simulations; run them under SweepRunner and merge per-case
-    // recorders in declaration order, so the report is byte-identical
-    // whatever --jobs says.
-    std::vector<core::FigCase> cases;
-    cases.reserve(14);
+    // The 14 (optimization × VM-count) cells.
+    std::vector<std::string> labels;
     for (bool opt : {false, true}) {
         for (unsigned n = 1; n <= 7; ++n) {
             char label[32];
             std::snprintf(label, sizeof(label), "%u-VM%s", n,
                           opt ? "-opt" : "");
-            cases.emplace_back(label);
+            labels.emplace_back(label);
         }
     }
-    std::vector<Row> rows(cases.size());
-    core::SweepRunner(fr.sweepJobs())
-        .run(cases.size(), [&](std::size_t i) {
-            bool opt = i >= 7;
-            unsigned n = unsigned(i % 7) + 1;
-            rows[i] = runCase(fr, cases[i], n, opt);
-        });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
+    std::vector<Row> rows(labels.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        rows[i] = runCase(c, unsigned(i % 7) + 1, i >= 7);
+    });
 
     core::Table t({"case", "throughput(Gb/s)", "dom0 CPU", "Xen CPU",
                    "guest CPU"});
     std::vector<double> vm_axis, dom0_unopt, dom0_opt;
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
-        t.addRow({cases[i].label(), core::Table::num(r.gbps, 3),
+        t.addRow({labels[i], core::Table::num(r.gbps, 3),
                   core::cpuPct(r.dom0), core::cpuPct(r.xen),
                   core::cpuPct(r.guests)});
         (r.opt ? dom0_opt : dom0_unopt).push_back(r.dom0);
         if (!r.opt)
             vm_axis.push_back(double(r.vms));
         // Paper: line rate in every configuration.
-        fr.expect(cases[i].label() + ".goodput_gbps", r.gbps, 0.957, 10);
+        fr.expect(labels[i] + ".goodput_gbps", r.gbps, 0.957, 10);
         if (r.vms == 7) {
             fr.expect(r.opt ? "dom0_pct_7vm_opt" : "dom0_pct_7vm_unopt",
                       r.dom0, r.opt ? 3.0 : 30.0, r.opt ? 150 : 60);

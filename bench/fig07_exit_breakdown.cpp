@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/testbed.hpp"
@@ -20,8 +21,17 @@ using namespace sriov;
 
 namespace {
 
-void
-runCase(core::FigReport &fr, bool eoi_accel)
+/** What one EOI setting leaves behind for the printout and bands. */
+struct Result
+{
+    std::string table;
+    double apic_pct;
+    double mcycles_per_s;
+    double cyc_per_eoi;
+};
+
+Result
+runCase(core::FigCase &c, bool eoi_accel)
 {
     core::Testbed::Params p;
     p.num_ports = 1;
@@ -33,10 +43,10 @@ runCase(core::FigReport &fr, bool eoi_accel)
     auto &g = tb.addGuest(vmm::DomainType::Hvm,
                           core::Testbed::NetMode::Sriov);
     tb.startUdpToGuest(g, p.line_bps);
-    fr.instrument(tb);
+    c.instrument(tb);
 
     sim::Time window = sim::Time::sec(5);
-    fr.captureTrace(tb, [&]() {
+    c.drive(tb, [&]() {
         tb.run(sim::Time::sec(2));
         g.dom->exits().reset();
         tb.run(window);
@@ -44,7 +54,6 @@ runCase(core::FigReport &fr, bool eoi_accel)
 
     double secs = window.toSeconds();
     auto &ex = g.dom->exits();
-    std::printf("\n-- EOI acceleration %s --\n", eoi_accel ? "ON" : "OFF");
     core::Table t({"VM-exit reason", "exits/s", "Mcycles/s", "cyc/exit"});
     for (unsigned i = 0; i < unsigned(vmm::ExitReason::Count); ++i) {
         auto r = vmm::ExitReason(i);
@@ -57,29 +66,16 @@ runCase(core::FigReport &fr, bool eoi_accel)
     }
     t.addRow({"TOTAL", core::Table::num(ex.totalCount() / secs, 0),
               core::Table::num(ex.totalCycles() / secs / 1e6, 1), ""});
-    t.print();
 
     double apic_pct = 100.0 * ex.cycles(vmm::ExitReason::ApicAccess)
         / ex.totalCycles();
-    std::printf("APIC-access share of overhead: %.0f%%  "
-                "(paper: 90%% before acceleration; EOI = 47%% of APIC "
-                "exits)\n",
-                apic_pct);
-
-    std::string label = eoi_accel ? "eoi-on" : "eoi-off";
-    fr.snapshot(label);
+    c.snapshot(c.label());
     const auto &cm = tb.server().costs();
-    double per_eoi = eoi_accel ? cm.eoi_accelerated
-                               : cm.apic_access_emulate;
-    fr.report().addMetric(label + ".total_mcycles_per_s",
-                          ex.totalCycles() / secs / 1e6);
-    fr.report().addMetric(label + ".apic_pct", apic_pct);
-    // Paper: 154M cycles/s unaccelerated, 111M accelerated; EOI
-    // emulation 8.4K cycles -> 2.5K.
-    fr.expect(label + ".total_mcycles_per_s", ex.totalCycles() / secs / 1e6,
-              eoi_accel ? 111 : 154, 25);
-    fr.expect(label + ".cyc_per_eoi", per_eoi, eoi_accel ? 2500 : 8400,
-              1);
+    double mcycles = ex.totalCycles() / secs / 1e6;
+    c.addMetric(c.label() + ".total_mcycles_per_s", mcycles);
+    c.addMetric(c.label() + ".apic_pct", apic_pct);
+    return Result{t.toString(), apic_pct, mcycles,
+                  eoi_accel ? cm.eoi_accelerated : cm.apic_access_emulate};
 }
 
 } // namespace
@@ -97,8 +93,28 @@ main(int argc, char **argv)
                  "event (1 VM, 1 GbE, 2.6.28 HVM)");
     fr.report().setConfig("guest_kernel", "2.6.28");
     fr.report().setConfig("measure_s", 5.0);
-    runCase(fr, false);
-    runCase(fr, true);
+    const std::vector<std::string> labels{"eoi-off", "eoi-on"};
+    std::vector<Result> res(labels.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        res[i] = runCase(c, i == 1);
+    });
+    for (std::size_t i = 0; i < res.size(); ++i) {
+        const Result &r = res[i];
+        bool eoi_accel = i == 1;
+        std::printf("\n-- EOI acceleration %s --\n",
+                    eoi_accel ? "ON" : "OFF");
+        std::fputs(r.table.c_str(), stdout);
+        std::printf("APIC-access share of overhead: %.0f%%  "
+                    "(paper: 90%% before acceleration; EOI = 47%% of APIC "
+                    "exits)\n",
+                    r.apic_pct);
+        // Paper: 154M cycles/s unaccelerated, 111M accelerated; EOI
+        // emulation 8.4K cycles -> 2.5K.
+        fr.expect(labels[i] + ".total_mcycles_per_s", r.mcycles_per_s,
+                  eoi_accel ? 111 : 154, 25);
+        fr.expect(labels[i] + ".cyc_per_eoi", r.cyc_per_eoi,
+                  eoi_accel ? 2500 : 8400, 1);
+    }
     std::printf("\npaper: 154M cycles/s -> 111M with EOI acceleration "
                 "(8.4K -> 2.5K cycles per EOI)\n");
     return fr.finish();

@@ -11,6 +11,7 @@
  * loss; 20 kHz avoids loss but burns CPU.
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <map>
 #include <string>
@@ -35,60 +36,77 @@ main(int argc, char **argv)
                  "policy (single port)");
     fr.report().setConfig("measure_s", 4.0);
 
+    const std::vector<std::string> policies{"20kHz", "2kHz", "AIC", "1kHz"};
+    const std::vector<double> loads{500e6, 1000e6, 1500e6, 2000e6, 2500e6};
+    std::vector<std::string> labels;
+    for (const std::string &policy : policies) {
+        for (double offered : loads)
+            labels.push_back(policy + "-"
+                             + core::Table::num(offered / 1e6, 0));
+    }
+    struct Point
+    {
+        double tx_bps, rx_bps, loss, irq_rate, guests_pct;
+    };
+    std::vector<Point> pts(labels.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        const std::string &policy = policies[i / loads.size()];
+        double offered = loads[i % loads.size()];
+        core::Testbed::Params p;
+        p.num_ports = 1;
+        p.opts = core::OptimizationSet::maskEoi();
+        p.opts.aic = policy == "AIC";
+        p.itr = policy;
+        core::Testbed tb(p);
+
+        auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                              core::Testbed::NetMode::Sriov);
+        auto &snd = tb.startUdpFromDom0(g, offered);
+        c.instrument(tb);
+
+        core::Testbed::Measurement m;
+        std::uint64_t irqs0 = 0, sent0 = 0;
+        c.drive(tb, [&]() {
+            tb.run(sim::Time::sec(2));
+            irqs0 = g.vf->deviceStats().interrupts.value();
+            sent0 = snd.sentBytes();
+            m = tb.measure(sim::Time(), sim::Time::sec(4));
+        });
+        double tx_bps = double(snd.sentBytes() - sent0) * 8.0 / m.seconds;
+        double rx_bps = m.total_goodput_bps;
+        double irq_rate =
+            (g.vf->deviceStats().interrupts.value() - irqs0) / m.seconds;
+        double loss =
+            tx_bps > 0 ? 100.0 * (tx_bps - rx_bps) / tx_bps : 0.0;
+        pts[i] = Point{tx_bps, rx_bps, loss, irq_rate, m.guests_pct};
+        if (offered == 2500e6) {
+            c.snapshot(c.label());
+            c.addMetric(policy + ".loss_pct_at_2500", loss);
+        }
+    });
+
     core::Table t({"policy", "offered(Mb/s)", "TX BW(Mb/s)", "RX BW(Mb/s)",
                    "loss", "guest irq/s", "guest CPU"});
     std::vector<double> load_axis;
     std::map<std::string, std::vector<double>> loss_by_policy;
-    for (const std::string policy : {"20kHz", "2kHz", "AIC", "1kHz"}) {
-        for (double offered : {500e6, 1000e6, 1500e6, 2000e6, 2500e6}) {
-            core::Testbed::Params p;
-            p.num_ports = 1;
-            p.opts = core::OptimizationSet::maskEoi();
-            p.opts.aic = policy == "AIC";
-            p.itr = policy;
-            core::Testbed tb(p);
-
-            auto &g = tb.addGuest(vmm::DomainType::Hvm,
-                                  core::Testbed::NetMode::Sriov);
-            auto &snd = tb.startUdpFromDom0(g, offered);
-            fr.instrument(tb);
-
-            core::Testbed::Measurement m;
-            std::uint64_t irqs0 = 0, sent0 = 0;
-            fr.captureTrace(tb, [&]() {
-                tb.run(sim::Time::sec(2));
-                irqs0 = g.vf->deviceStats().interrupts.value();
-                sent0 = snd.sentBytes();
-                m = tb.measure(sim::Time(), sim::Time::sec(4));
-            });
-            double tx_bps =
-                double(snd.sentBytes() - sent0) * 8.0 / m.seconds;
-            double rx_bps = m.total_goodput_bps;
-            double irq_rate =
-                (g.vf->deviceStats().interrupts.value() - irqs0)
-                / m.seconds;
-            double loss = tx_bps > 0 ? 100.0 * (tx_bps - rx_bps) / tx_bps
-                                     : 0.0;
-
-            t.addRow({policy, core::Table::num(offered / 1e6, 0),
-                      core::Table::num(tx_bps / 1e6, 0),
-                      core::Table::num(rx_bps / 1e6, 0),
-                      core::Table::num(loss, 1) + "%",
-                      core::Table::num(irq_rate, 0),
-                      core::cpuPct(m.guests_pct)});
-            if (policy == "20kHz")
-                load_axis.push_back(offered / 1e6);
-            loss_by_policy[policy].push_back(loss);
-            if (offered == 2500e6) {
-                fr.snapshot(policy + "-2500");
-                fr.report().addMetric(policy + ".loss_pct_at_2500", loss);
-                // Paper: AIC and 20 kHz keep up at the highest load
-                // (RX tracks TX); the fixed low-rate policies drop.
-                if (policy == "AIC" || policy == "20kHz")
-                    fr.expect(policy + ".rx_mbps_at_2500", rx_bps / 1e6,
-                              tx_bps / 1e6, 3);
-            }
-        }
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+        const std::string &policy = policies[i / loads.size()];
+        double offered = loads[i % loads.size()];
+        const Point &pt = pts[i];
+        t.addRow({policy, core::Table::num(offered / 1e6, 0),
+                  core::Table::num(pt.tx_bps / 1e6, 0),
+                  core::Table::num(pt.rx_bps / 1e6, 0),
+                  core::Table::num(pt.loss, 1) + "%",
+                  core::Table::num(pt.irq_rate, 0),
+                  core::cpuPct(pt.guests_pct)});
+        if (policy == "20kHz")
+            load_axis.push_back(offered / 1e6);
+        loss_by_policy[policy].push_back(pt.loss);
+        // Paper: AIC and 20 kHz keep up at the highest load (RX tracks
+        // TX); the fixed low-rate policies drop.
+        if (offered == 2500e6 && (policy == "AIC" || policy == "20kHz"))
+            fr.expect(policy + ".rx_mbps_at_2500", pt.rx_bps / 1e6,
+                      pt.tx_bps / 1e6, 3);
     }
     for (auto &kv : loss_by_policy)
         fr.report().addSeries("loss_pct_" + kv.first + "_vs_mbps",

@@ -10,8 +10,10 @@
  * with AIC, landing at 193% vs 145% native.
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "core/testbed.hpp"
@@ -74,37 +76,46 @@ main(int argc, char **argv)
                     core::OptimizationSet::all(), "AIC"};
     cases.push_back(native_aic);
 
-    core::Table t({"configuration", "throughput(Gb/s)", "total CPU",
-                   "guest", "Xen", "dom0"});
-    for (const auto &c : cases) {
+    std::vector<std::string> labels;
+    for (const auto &c : cases)
+        labels.emplace_back(c.label);
+    std::vector<core::Testbed::Measurement> ms(cases.size());
+    fr.sweep(labels, [&](core::FigCase &fc, std::size_t i) {
+        const Case &c = cases[i];
         core::Testbed::Params p;
         p.num_ports = 10;
         p.opts = c.opts;
         p.itr = c.itr;
         core::Testbed tb(p);
-        for (unsigned i = 0; i < 10; ++i) {
+        for (unsigned v = 0; v < 10; ++v) {
             auto &g = tb.addGuest(c.type, core::Testbed::NetMode::Sriov,
                                   c.kv);
             tb.startUdpToGuest(g, p.line_bps);
         }
-        fr.instrument(tb);
-        core::Testbed::Measurement m;
-        fr.captureTrace(tb, [&]() {
+        fc.instrument(tb);
+        core::Testbed::Measurement &m = ms[i];
+        fc.drive(tb, [&]() {
             m = tb.measure(sim::Time::sec(2), sim::Time::sec(5));
         });
-        fr.snapshot(c.label);
-        fr.report().addMetric(std::string(c.label) + ".goodput_gbps",
-                              m.total_goodput_bps / 1e9);
-        fr.report().addMetric(std::string(c.label) + ".total_cpu_pct",
-                              m.total_pct);
+        fc.snapshot(c.label);
+        fc.addMetric(std::string(c.label) + ".goodput_gbps",
+                     m.total_goodput_bps / 1e9);
+        fc.addMetric(std::string(c.label) + ".total_cpu_pct", m.total_pct);
+    });
+
+    core::Table t({"configuration", "throughput(Gb/s)", "total CPU",
+                   "guest", "Xen", "dom0"});
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const std::string &label = labels[i];
+        const core::Testbed::Measurement &m = ms[i];
         // Paper: line rate in every configuration.
-        fr.expect(std::string(c.label) + ".goodput_gbps",
-                  m.total_goodput_bps / 1e9, 9.57, 5);
-        if (std::string(c.label) == "2.6.18 HVM baseline")
+        fr.expect(label + ".goodput_gbps", m.total_goodput_bps / 1e9, 9.57,
+                  5);
+        if (label == "2.6.18 HVM baseline")
             fr.expect("baseline_total_cpu_pct", m.total_pct, 499, 20);
-        if (std::string(c.label) == "2.6.18 HVM +MSI")
+        if (label == "2.6.18 HVM +MSI")
             fr.expect("msi_total_cpu_pct", m.total_pct, 227, 20);
-        t.addRow({c.label, core::gbps(m.total_goodput_bps),
+        t.addRow({label, core::gbps(m.total_goodput_bps),
                   core::cpuPct(m.total_pct), core::cpuPct(m.guests_pct),
                   core::cpuPct(m.xen_pct), core::cpuPct(m.dom0_pct)});
     }

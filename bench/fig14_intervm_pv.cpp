@@ -9,6 +9,7 @@
  * far more CPU than SR-IOV; SR-IOV wins on throughput per CPU.
  */
 
+#include <cstddef>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,11 +33,13 @@ main(int argc, char **argv)
     fr.report().setConfig("measure_s", 4.0);
     fr.report().setConfig("netback_threads", 2.0);
 
-    core::Table t({"msg size(B)", "RX BW(Gb/s)", "total CPU", "dom0 CPU",
-                   "Gb/s per 100% CPU"});
-    std::vector<double> size_axis, bw_gbps;
-    for (std::uint32_t payload : {1500u, 2000u, 2500u, 3000u, 3500u,
-                                  4000u}) {
+    const std::vector<std::uint32_t> payloads{1500u, 2000u, 2500u, 3000u,
+                                              3500u, 4000u};
+    std::vector<std::string> labels;
+    for (std::uint32_t payload : payloads)
+        labels.push_back(std::to_string(payload) + "B");
+    std::vector<core::Testbed::Measurement> ms(payloads.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
         core::Testbed::Params p;
         p.num_ports = 1;
         p.opts = core::OptimizationSet::all();
@@ -47,22 +50,29 @@ main(int argc, char **argv)
                                core::Testbed::NetMode::Pv);
         auto &rx = tb.addGuest(vmm::DomainType::Hvm,
                                core::Testbed::NetMode::Pv);
-        tb.startUdpGuestToGuest(tx, rx, 8e9, payload);
-        fr.instrument(tb);
+        tb.startUdpGuestToGuest(tx, rx, 8e9, payloads[i]);
+        c.instrument(tb);
 
-        core::Testbed::Measurement m;
-        fr.captureTrace(tb, [&]() {
-            m = tb.measure(sim::Time::sec(2), sim::Time::sec(4));
+        c.drive(tb, [&]() {
+            ms[i] = tb.measure(sim::Time::sec(2), sim::Time::sec(4));
         });
+        if (payloads[i] == 1500u)
+            c.snapshot(c.label());
+    });
+
+    core::Table t({"msg size(B)", "RX BW(Gb/s)", "total CPU", "dom0 CPU",
+                   "Gb/s per 100% CPU"});
+    std::vector<double> size_axis, bw_gbps;
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        const core::Testbed::Measurement &m = ms[i];
         double cpu = m.total_pct;
-        size_axis.push_back(double(payload));
+        size_axis.push_back(double(payloads[i]));
         bw_gbps.push_back(m.total_goodput_bps / 1e9);
-        if (payload == 1500u) {
-            fr.snapshot("1500B");
+        if (payloads[i] == 1500u) {
             // Paper: ~4.3 Gb/s at 1500 B.
             fr.expect("gbps_1500B", m.total_goodput_bps / 1e9, 4.3, 15);
         }
-        t.addRow({core::Table::num(payload, 0),
+        t.addRow({core::Table::num(payloads[i], 0),
                   core::gbps(m.total_goodput_bps), core::cpuPct(cpu),
                   core::cpuPct(m.dom0_pct),
                   core::Table::num(m.total_goodput_bps / 1e9

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "sim/log.hpp"
 
@@ -32,8 +31,7 @@ struct Point
 };
 
 Point
-runScale(core::FigReport &fr, core::FigCase &c, unsigned vms,
-         vmm::DomainType type)
+runScale(core::FigCase &c, unsigned vms, vmm::DomainType type)
 {
     core::Testbed::Params p;
     p.num_ports = 10;
@@ -53,7 +51,7 @@ runScale(core::FigReport &fr, core::FigCase &c, unsigned vms,
     c.instrument(tb);
 
     core::Testbed::Measurement m;
-    fr.caseDrive(c, tb, [&]() {
+    c.drive(tb, [&]() {
         m = tb.measure(sim::Time::sec(2), sim::Time::sec(4));
     });
     std::uint64_t pkts = 0;
@@ -82,22 +80,14 @@ runScaleBench(int argc, char **argv, const char *fig,
     fr.report().setConfig("ports", 10.0);
     fr.report().setConfig("measure_s", 4.0);
 
-    // Each VM count is an independent simulation: run them through
-    // SweepRunner (--jobs=N), then fold the per-case recorders back
-    // into the report in declaration order so the JSON is
-    // byte-identical to a sequential run.
     const std::vector<unsigned> counts{10u, 20u, 30u, 40u, 50u, 60u};
-    std::vector<core::FigCase> cases;
-    cases.reserve(counts.size());
+    std::vector<std::string> labels;
     for (unsigned n : counts)
-        cases.emplace_back(std::to_string(n) + "vm");
+        labels.push_back(std::to_string(n) + "vm");
     std::vector<Point> pts(counts.size());
-    core::SweepRunner(fr.sweepJobs())
-        .run(counts.size(), [&](std::size_t i) {
-            pts[i] = runScale(fr, cases[i], counts[i], type);
-        });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        pts[i] = runScale(c, counts[i], type);
+    });
 
     core::Table t({"VMs", "throughput(Gb/s)", "total CPU", "guest", "Xen",
                    "dom0"});

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "sim/log.hpp"
 
@@ -34,8 +33,8 @@ struct Point
 };
 
 Point
-runPvScale(core::FigReport &fr, core::FigCase &c, unsigned vms,
-           vmm::DomainType type, unsigned threads)
+runPvScale(core::FigCase &c, unsigned vms, vmm::DomainType type,
+           unsigned threads)
 {
     core::Testbed::Params p;
     p.num_ports = 10;
@@ -51,7 +50,7 @@ runPvScale(core::FigReport &fr, core::FigCase &c, unsigned vms,
     c.instrument(tb);
 
     core::Testbed::Measurement m;
-    fr.caseDrive(c, tb, [&]() {
+    c.drive(tb, [&]() {
         m = tb.measure(sim::Time::sec(2), sim::Time::sec(4));
     });
     if (threads > 1 && vms == 60)
@@ -77,25 +76,16 @@ runPvScaleBench(int argc, char **argv, const char *fig,
     fr.report().setConfig("measure_s", 4.0);
 
     // Case 0 is the single-threaded §6.5 row; the rest sweep VM count
-    // with the 4-thread netback. All are independent simulations, so
-    // SweepRunner may run them on --jobs threads; merging in
-    // declaration order keeps the report byte-identical to --jobs=1.
+    // with the 4-thread netback.
     const std::vector<unsigned> counts{10u, 20u, 30u, 40u, 50u, 60u};
-    std::vector<core::FigCase> cases;
-    cases.reserve(counts.size() + 1);
-    cases.emplace_back("1thread-10vm");
+    std::vector<std::string> labels{"1thread-10vm"};
     for (unsigned n : counts)
-        cases.emplace_back(std::to_string(n) + "vm");
-    std::vector<Point> pts(cases.size());
-    core::SweepRunner(fr.sweepJobs())
-        .run(cases.size(), [&](std::size_t i) {
-            pts[i] = i == 0
-                         ? runPvScale(fr, cases[0], 10, type, /*threads=*/1)
-                         : runPvScale(fr, cases[i], counts[i - 1], type,
-                                      /*threads=*/4);
-        });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
+        labels.push_back(std::to_string(n) + "vm");
+    std::vector<Point> pts(labels.size());
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        pts[i] = i == 0 ? runPvScale(c, 10, type, /*threads=*/1)
+                        : runPvScale(c, counts[i - 1], type, /*threads=*/4);
+    });
 
     std::printf("single-threaded netback, 10 VMs: %.2f Gb/s, dom0 "
                 "%.0f%%  (paper Section 6.5: ~3.6 Gb/s, one core "

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "sim/log.hpp"
 
@@ -35,7 +34,7 @@ struct Point
 };
 
 Point
-runVmdq(core::FigReport &fr, core::FigCase &c, unsigned vms)
+runVmdq(core::FigCase &c, unsigned vms)
 {
     core::Testbed::Params p;
     p.use_vmdq_nic = true;
@@ -51,7 +50,7 @@ runVmdq(core::FigReport &fr, core::FigCase &c, unsigned vms)
 
     c.instrument(tb);
     core::Testbed::Measurement m;
-    fr.caseDrive(c, tb, [&]() {
+    c.drive(tb, [&]() {
         m = tb.measure(sim::Time::sec(2), sim::Time::sec(4));
     });
     if (vms == 10)
@@ -75,22 +74,15 @@ main(int argc, char **argv)
     fr.report().setConfig("queue_pairs", 8.0);
     fr.report().setConfig("measure_s", 4.0);
 
-    // Every VM count is an independent simulation: fan the sweep out
-    // on SweepRunner threads and merge in declaration order so the
-    // report does not depend on --jobs.
     const std::vector<unsigned> counts{2u, 4u, 7u, 10u, 20u,
                                        30u, 40u, 50u, 60u};
-    std::vector<core::FigCase> cases;
-    cases.reserve(counts.size());
+    std::vector<std::string> labels;
     for (unsigned n : counts)
-        cases.emplace_back(std::to_string(n) + "vm");
+        labels.push_back(std::to_string(n) + "vm");
     std::vector<Point> pts(counts.size());
-    core::SweepRunner(fr.sweepJobs())
-        .run(counts.size(), [&](std::size_t i) {
-            pts[i] = runVmdq(fr, cases[i], counts[i]);
-        });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
+    fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+        pts[i] = runVmdq(c, counts[i]);
+    });
 
     core::Table t({"VMs", "throughput(Gb/s)", "total CPU", "dom0",
                    "VMDq-served VMs"});

@@ -44,7 +44,6 @@ main(int argc, char **argv)
                           core::Testbed::NetMode::Pv);
     tb.startUdpToGuest(g, p.line_bps);
     g.rx->sampleEvery(sim::Time::ms(500));
-    fr.instrument(tb);
 
     vmm::MigrationManager::Params mp;
     vmm::MigrationManager::Result result{};
@@ -64,18 +63,23 @@ main(int argc, char **argv)
                 "dom0 CPU");
     auto snap = tb.server().snapshot();
     std::vector<double> dom0_series;
-    fr.captureTrace(tb, [&]() {
-        for (int step = 0; step < 32; ++step) {
-            tb.run(sim::Time::ms(500));
-            auto tags = tb.server().cpuPercentByTag(snap);
-            double dom0 = 0;
-            for (const auto &[tag, pct] : tags) {
-                if (tag.rfind("dom0", 0) == 0)
-                    dom0 += pct;
+    fr.sweep({"post-migration"}, [&](core::FigCase &c, std::size_t) {
+        c.instrument(tb);
+        c.drive(tb, [&]() {
+            for (int step = 0; step < 32; ++step) {
+                tb.run(sim::Time::ms(500));
+                auto tags = tb.server().cpuPercentByTag(snap);
+                double dom0 = 0;
+                for (const auto &[tag, pct] : tags) {
+                    if (tag.rfind("dom0", 0) == 0)
+                        dom0 += pct;
+                }
+                dom0_series.push_back(dom0);
+                snap = tb.server().snapshot();
             }
-            dom0_series.push_back(dom0);
-            snap = tb.server().snapshot();
-        }
+        });
+        if (done)
+            c.snapshot(c.label());
     });
     const auto &tl = g.rx->timeline().samples();
     for (std::size_t i = 0; i < tl.size() && i < dom0_series.size(); ++i) {
@@ -92,7 +96,6 @@ main(int argc, char **argv)
                     result.resumed_at.toSeconds(),
                     result.downtime().toSeconds(), result.rounds,
                     static_cast<unsigned long long>(result.pages_sent));
-        fr.snapshot("post-migration");
         std::vector<double> t_axis, mbps;
         for (const auto &[when, bps] : tl) {
             t_axis.push_back(when.toSeconds());

@@ -68,21 +68,25 @@ main(int argc, char **argv)
 
     std::printf("\n%-8s %-18s %-10s\n", "t(s)", "netperf(Mb/s)",
                 "dom0 CPU");
-    fr.instrument(tb);
     auto snap = tb.server().snapshot();
     std::vector<double> dom0_series;
-    fr.captureTrace(tb, [&]() {
-        for (int step = 0; step < 36; ++step) {
-            tb.run(sim::Time::ms(500));
-            auto tags = tb.server().cpuPercentByTag(snap);
-            double dom0 = 0;
-            for (const auto &[tag, pct] : tags) {
-                if (tag.rfind("dom0", 0) == 0)
-                    dom0 += pct;
+    fr.sweep({"post-migration"}, [&](core::FigCase &c, std::size_t) {
+        c.instrument(tb);
+        c.drive(tb, [&]() {
+            for (int step = 0; step < 36; ++step) {
+                tb.run(sim::Time::ms(500));
+                auto tags = tb.server().cpuPercentByTag(snap);
+                double dom0 = 0;
+                for (const auto &[tag, pct] : tags) {
+                    if (tag.rfind("dom0", 0) == 0)
+                        dom0 += pct;
+                }
+                dom0_series.push_back(dom0);
+                snap = tb.server().snapshot();
             }
-            dom0_series.push_back(dom0);
-            snap = tb.server().snapshot();
-        }
+        });
+        if (done)
+            c.snapshot(c.label());
     });
     const auto &tl = g.rx->timeline().samples();
     for (std::size_t i = 0; i < tl.size() && i < dom0_series.size(); ++i) {
@@ -109,7 +113,6 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(g.bond->failovers()),
                     static_cast<unsigned long long>(
                         g.bond->inactiveRxDropped()));
-        fr.snapshot("post-migration");
         std::vector<double> t_axis, mbps;
         for (const auto &[when, bps] : tl) {
             t_axis.push_back(when.toSeconds());

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
+#include "core/sweep_runner.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/json.hpp"
 
@@ -40,7 +41,7 @@ FigCase::snapshot(const std::string &label, const std::string &prefix)
     snaps_.push_back(Snap{label, reg_.snapshot(prefix)});
     // Path-tracer capture rides along under the same label; snapshots
     // are values, so parallel sweep workers stay thread-confined and
-    // mergeCase() reproduces the sequential byte stream.
+    // the merge reproduces the sequential byte stream.
     if (tb_)
         path_snaps_.emplace_back(label, tb_->pathSnapshot());
 }
@@ -54,6 +55,9 @@ FigCase::addMetric(const std::string &name, double value)
 void
 FigCase::drive(Testbed &tb, const std::function<void()> &fn)
 {
+    obs::ChromeTraceWriter w;
+    if (!trace_path_.empty())
+        tb.attachObsTrace(w);
     std::uint64_t before = tb.executedEvents();
     sim::Time s0 = tb.now();
     // simlint:allow(no-wallclock): host-side perf sidecar timing only
@@ -66,11 +70,24 @@ FigCase::drive(Testbed &tb, const std::function<void()> &fn)
     // the last drive's view covers every earlier drive of the case.
     if (const sim::FluidStats *fs = tb.fluidStats())
         fluid_ = *fs;
+    if (trace_path_.empty())
+        return;
+    w.detachAll();
+    if (w.writeTo(trace_path_)) {
+        std::printf("trace: wrote %s (%zu events, %zu tracks)\n",
+                    trace_path_.c_str(), w.eventCount(), w.trackCount());
+    } else {
+        std::fprintf(stderr, "trace: FAILED to write %s\n",
+                     trace_path_.c_str());
+    }
+    trace_path_.clear();
 }
 
 FigReport::FigReport(int argc, char **argv, const std::string &fig,
-                     const std::string &title)
-    : opts_(obs::BenchOptions::parse(argc, argv, fig)), rep_(fig, title)
+                     const std::string &title,
+                     const std::vector<std::string> &flags)
+    : opts_(obs::BenchOptions::parse(argc, argv, fig, flags)),
+      rep_(fig, title)
 {
     if (opts_.helpRequested()) {
         std::fputs(obs::BenchOptions::usage(fig).c_str(), stdout);
@@ -80,132 +97,38 @@ FigReport::FigReport(int argc, char **argv, const std::string &fig,
     rep_.setConfig("title", title);
 }
 
-obs::MetricRegistry &
-FigReport::instrument(Testbed &tb)
-{
-    reg_ = obs::MetricRegistry();
-    last_tb_ = &tb;
-    tb.enableObs();
-    tb.registerMetrics(reg_);
-    return reg_;
-}
-
 void
-FigReport::snapshot(const std::string &label, const std::string &prefix)
+FigReport::sweep(const std::vector<std::string> &labels,
+                 const std::function<void(FigCase &, std::size_t)> &body)
 {
-    rep_.addSnapshot(label, reg_, prefix);
-    if (last_tb_)
-        notePathSnapshot(label, last_tb_->pathSnapshot());
-    // Name the perf entry the drive just produced after this case.
-    if (last_perf_unlabelled_ && !perf_.empty()) {
-        perf_.back().label = label;
-        last_perf_unlabelled_ = false;
+    std::vector<FigCase> cases(labels.begin(), labels.end());
+    unsigned jobs = opts_.jobs();
+    if (opts_.wantTrace() && !trace_done_ && !cases.empty()) {
+        if (jobs > 1) {
+            std::fprintf(stderr, "note: --trace forces --jobs=1 (the "
+                                 "trace captures the first case)\n");
+        }
+        jobs = 1;
+        trace_done_ = true;
+        cases.front().trace_path_ = opts_.tracePath();
     }
-}
-
-void
-FigReport::notePathSnapshot(const std::string &label,
-                            obs::PathSnapshot snap)
-{
-    // The report block reads only the base-rate attribution, which is
-    // identical whatever the export mode — figXX.json stays
-    // byte-identical across --pathtrace=off/sampled/full.
-    rep_.addPathStages(label, snap);
-    path_cases_.emplace_back(label, std::move(snap));
-}
-
-void
-FigReport::notePerf(const std::string &label, std::uint64_t events,
-                    double wall_s, std::uint64_t packets)
-{
-    perf_.push_back(CasePerf{label, events, packets, wall_s, 0.0, {}});
-}
-
-void
-FigReport::notePackets(std::uint64_t n)
-{
-    if (!perf_.empty())
-        perf_.back().packets += n;
-}
-
-void
-FigReport::captureTrace(Testbed &tb, const std::function<void()> &drive)
-{
-    auto timed = [&] {
-        std::uint64_t before = tb.executedEvents();
-        sim::Time s0 = tb.now();
-        // simlint:allow(no-wallclock): host-side perf sidecar timing only
-        auto t0 = std::chrono::steady_clock::now();
-        drive();
-        notePerf("", tb.executedEvents() - before, secondsSince(t0));
-        perf_.back().sim_s = double((tb.now() - s0).picos()) * 1e-12;
-        if (const sim::FluidStats *fs = tb.fluidStats())
-            perf_.back().fluid = *fs;
-        last_perf_unlabelled_ = true;
-    };
-    if (opts_.wantTrace() && !trace_done_)
-        traceDrive(tb, timed);
-    else
-        timed();
-}
-
-void
-FigReport::traceDrive(Testbed &tb, const std::function<void()> &drive)
-{
-    trace_done_ = true;
-    obs::ChromeTraceWriter w;
-    tb.attachObsTrace(w);
-    drive();
-    w.detachAll();
-
-    std::string path = opts_.tracePath();
-    if (w.writeTo(path)) {
-        std::printf("trace: wrote %s (%zu events, %zu tracks)\n",
-                    path.c_str(), w.eventCount(), w.trackCount());
-    } else {
-        std::fprintf(stderr, "trace: FAILED to write %s\n", path.c_str());
+    SweepRunner(jobs).run(cases.size(),
+                          [&](std::size_t i) { body(cases[i], i); });
+    for (FigCase &c : cases) {
+        for (FigCase::Snap &s : c.snaps_)
+            rep_.addSnapshot(s.label, std::move(s.data));
+        // The report block reads only the base-rate attribution, which
+        // is identical whatever the export mode — figXX.json stays
+        // byte-identical across --pathtrace=off/sampled/full.
+        for (auto &[label, snap] : c.path_snaps_) {
+            rep_.addPathStages(label, snap);
+            path_cases_.emplace_back(label, std::move(snap));
+        }
+        for (const auto &[name, value] : c.metrics_)
+            rep_.addMetric(name, value);
+        perf_.push_back(CasePerf{c.label_, c.events_, c.packets_, c.wall_s_,
+                                 c.sim_s_, c.fluid_});
     }
-}
-
-unsigned
-FigReport::sweepJobs() const
-{
-    if (opts_.wantTrace() && opts_.jobs() > 1) {
-        std::fprintf(stderr,
-                     "note: --trace forces --jobs=1 (the trace captures "
-                     "the first case)\n");
-        return 1;
-    }
-    return opts_.jobs();
-}
-
-void
-FigReport::caseDrive(FigCase &c, Testbed &tb,
-                     const std::function<void()> &fn)
-{
-    // Account the drive to the case either way, so its perf entry
-    // carries the case label.
-    if (opts_.wantTrace() && !trace_done_ && sweepJobs() == 1)
-        traceDrive(tb, [&] { c.drive(tb, fn); });
-    else
-        c.drive(tb, fn);
-}
-
-void
-FigReport::mergeCase(FigCase &c)
-{
-    for (FigCase::Snap &s : c.snaps_)
-        rep_.addSnapshot(s.label, std::move(s.data));
-    c.snaps_.clear();
-    for (auto &[label, snap] : c.path_snaps_)
-        notePathSnapshot(label, std::move(snap));
-    c.path_snaps_.clear();
-    for (const auto &[name, value] : c.metrics_)
-        rep_.addMetric(name, value);
-    c.metrics_.clear();
-    notePerf(c.label_, c.events_, c.wall_s_, c.packets_);
-    perf_.back().sim_s = c.sim_s_;
-    perf_.back().fluid = c.fluid_;
 }
 
 void
@@ -219,7 +142,7 @@ void
 FigReport::addPerf(const std::string &label, std::uint64_t events,
                    double wall_s)
 {
-    notePerf(label, events, wall_s);
+    perf_.push_back(CasePerf{label, events, 0, wall_s, 0.0, {}});
 }
 
 bool
@@ -239,12 +162,9 @@ FigReport::writePerfSidecar(const std::string &path) const
     double total_wall = 0;
     double total_sim = 0;
     w.key("cases").beginArray();
-    for (std::size_t i = 0; i < perf_.size(); ++i) {
-        const CasePerf &p = perf_[i];
+    for (const CasePerf &p : perf_) {
         w.beginObject();
-        w.kv("label", p.label.empty()
-                          ? "case" + std::to_string(i)
-                          : p.label);
+        w.kv("label", p.label);
         w.kv("events", p.events);
         w.kv("host_wall_s", p.wall_s);
         if (p.sim_s > 0)

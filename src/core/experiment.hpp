@@ -1,12 +1,14 @@
 /**
  * @file
- * Small presentation helpers shared by the benchmark binaries: fixed
+ * Bench recording and presentation helpers shared by the benchmark
+ * binaries: the declared-case sweep behind every report, and fixed
  * width tables matching the rows/series the paper's figures report.
  */
 
 #ifndef SRIOV_CORE_EXPERIMENT_HPP
 #define SRIOV_CORE_EXPERIMENT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -20,16 +22,15 @@
 namespace sriov::core {
 
 /**
- * Thread-confined recorder for one sweep case.
+ * Thread-confined recorder for one case of FigReport::sweep().
  *
- * A parallel sweep (core::SweepRunner) cannot let worker threads touch
- * the shared FigReport, so each case instruments its testbed into its
- * own registry, snapshots into its own storage, and the bench merges
- * the finished cases into the report *in declaration order* with
- * FigReport::mergeCase() — making the report byte-identical to a
- * sequential run. drive() additionally records host wall time and
- * executed events for the perf sidecar (<bench>.perf.json), which is
- * the one artefact that legitimately differs between --jobs values.
+ * The body of a parallel sweep cannot touch the shared FigReport, so
+ * each case instruments its testbed into its own registry, snapshots
+ * into its own storage and records its own metrics; sweep() merges
+ * them when every case has finished. drive() additionally records host
+ * wall time and executed events for the perf sidecar
+ * (<bench>.perf.json), which is the one artefact that legitimately
+ * differs between --jobs values.
  */
 class FigCase
 {
@@ -38,17 +39,26 @@ class FigCase
 
     const std::string &label() const { return label_; }
 
-    /** Per-case analogue of FigReport::instrument(). */
+    /**
+     * Enable @p tb's latency/cost taps and register its metric tree in
+     * a fresh registry (valid until the next instrument() call).
+     */
     obs::MetricRegistry &instrument(Testbed &tb);
 
-    /** Per-case analogue of FigReport::snapshot(). */
+    /** Snapshot the registry — and the instrumented testbed's path
+     *  tracer — under @p label. */
     void snapshot(const std::string &label,
                   const std::string &prefix = "");
 
-    /** Per-case analogue of report().addMetric(). */
+    /** Record a report metric. */
     void addMetric(const std::string &name, double value);
 
-    /** Run @p fn, accumulating wall time and @p tb's executed events. */
+    /**
+     * Run @p fn, accumulating wall time and @p tb's executed events.
+     * Under --trace, the first drive of the sweep's first case is
+     * captured as a Chrome trace of @p tb (CPU work spans + tagged
+     * events, one event track per island) and written to disk.
+     */
     void drive(Testbed &tb, const std::function<void()> &fn);
 
     /** Count simulated packets handled by the drive (the perf sidecar
@@ -75,30 +85,42 @@ class FigCase
     std::uint64_t packets_ = 0;
     double wall_s_ = 0;
     double sim_s_ = 0;
-    /** Director stats after the last drive (all-zero when fluid off). */
+    /** Warp stats after the last drive (all-zero when fluid off). */
     sim::FluidStats fluid_;
+    /** Where the next drive writes its Chrome trace; empty when it
+     *  runs untraced. */
+    std::string trace_path_;
 };
 
 /**
- * One-stop bench instrumentation: owns the BenchOptions, the Report
- * and a MetricRegistry, and scopes an optional Chrome-trace capture.
- * A figXX binary wires the whole observability layer with:
+ * One-stop bench instrumentation: owns the BenchOptions and the Report,
+ * runs the bench's declared case list, and writes the artifacts. A
+ * figXX binary wires the whole observability layer with:
  *
  *   core::FigReport fr(argc, argv, "fig06", "SR-IOV mask/unmask");
  *   if (fr.helpShown()) return 0;
- *   ...
- *   auto &reg = fr.instrument(tb);             // per representative case
- *   fr.captureTrace(tb, [&] { m = tb.measure(w, t); });
- *   fr.snapshot("7-VM-opt");
- *   fr.report().expect("dom0_pct_opt", m.dom0_pct, 3.0, 50);
+ *   std::vector<double> dom0(labels.size());
+ *   fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {
+ *       core::Testbed tb(params[i]);
+ *       ...
+ *       c.instrument(tb);
+ *       core::Testbed::Measurement m;
+ *       c.drive(tb, [&] { m = tb.measure(warmup, window); });
+ *       c.snapshot(c.label());
+ *       dom0[i] = m.dom0_pct;
+ *   });
+ *   fr.expect("dom0_pct_7vm_opt", dom0.back(), 3.0, 150);
  *   ...
  *   return fr.finish();
  */
 class FigReport
 {
   public:
+    /** @p flags: the bench's own `--name=<value>` flags, kept in
+     *  options().extraArgs(); any other unknown argument exits 2. */
     FigReport(int argc, char **argv, const std::string &fig,
-              const std::string &title);
+              const std::string &title,
+              const std::vector<std::string> &flags = {});
 
     /** True when --help was requested; usage is already printed. */
     bool helpShown() const { return opts_.helpRequested(); }
@@ -107,46 +129,20 @@ class FigReport
     obs::Report &report() { return rep_; }
 
     /**
-     * Instrument @p tb for this report: enables its latency/cost taps
-     * and registers its metric tree in a fresh registry (valid until
-     * the next instrument() call — benches build one testbed per case).
+     * Run the bench's cases: one FigCase per entry of @p labels, and
+     * @p body(case, index) for each on core::SweepRunner with --jobs
+     * threads. Under --trace the sweep runs on one thread and the trace
+     * captures the first case's first FigCase::drive().
+     *
+     * Determinism contract: a body writes only to its FigCase and to
+     * per-index storage. When every case has finished, sweep() merges
+     * each case's snapshots, path snapshots, metrics and perf entry
+     * into the report in declaration order, so the report is
+     * byte-identical whatever --jobs says. Work that reads other cases
+     * (tables, derived values, expect()) runs after sweep() returns.
      */
-    obs::MetricRegistry &instrument(Testbed &tb);
-
-    /** Snapshot the last instrument()-ed registry under @p label. */
-    void snapshot(const std::string &label,
-                  const std::string &prefix = "");
-
-    /**
-     * Run @p drive; on the first call with --trace set, capture it as
-     * a Chrome trace of @p tb (CPU work spans + tagged events, one
-     * event track per island) and write the file. Every call also
-     * times the drive and records @p tb's executed events for the perf
-     * sidecar; the entry is labelled by the next snapshot() call.
-     */
-    void captureTrace(Testbed &tb, const std::function<void()> &drive);
-
-    /**
-     * Threads to hand core::SweepRunner: --jobs, forced to 1 when a
-     * trace was requested (the trace captures the first case).
-     */
-    unsigned sweepJobs() const;
-
-    /**
-     * Sequential-path drive for a sweep case: captures the Chrome
-     * trace through @p c when tracing is on (only possible with
-     * sweepJobs() == 1), a plain timed drive otherwise. Safe to call
-     * from SweepRunner workers, where tracing is off by construction.
-     */
-    void caseDrive(FigCase &c, Testbed &tb,
-                   const std::function<void()> &fn);
-
-    /**
-     * Fold a completed case into the report: snapshots, metrics, and
-     * its perf entry, in the order recorded. Call sequentially, in
-     * case-declaration order, after SweepRunner::run() returns.
-     */
-    void mergeCase(FigCase &c);
+    void sweep(const std::vector<std::string> &labels,
+               const std::function<void(FigCase &, std::size_t)> &body);
 
     /** Shorthand for report().expect(...). */
     void expect(const std::string &name, double actual, double expected,
@@ -155,14 +151,10 @@ class FigReport
     /**
      * Record a host-performance entry for the perf sidecar directly,
      * for benches that time their own kernels (bench_microkernel)
-     * instead of driving a Testbed through captureTrace()/caseDrive().
+     * instead of driving a Testbed through sweep().
      */
     void addPerf(const std::string &label, std::uint64_t events,
                  double wall_s);
-
-    /** Attribute @p n simulated packets to the most recent perf entry
-     *  (for benches using captureTrace() rather than FigCase). */
-    void notePackets(std::uint64_t n);
 
     /**
      * Write the report (and the <bench>.perf.json host-performance
@@ -184,27 +176,15 @@ class FigReport
         sim::FluidStats fluid;
     };
 
-    /** Run @p drive with a Chrome trace of @p tb attached and write
-     *  the trace file; later calls of captureTrace()/caseDrive() run
-     *  untraced. */
-    void traceDrive(Testbed &tb, const std::function<void()> &drive);
-    void notePerf(const std::string &label, std::uint64_t events,
-                  double wall_s, std::uint64_t packets = 0);
     bool writePerfSidecar(const std::string &path) const;
-    /** Stash (and report) one path-tracer snapshot under @p label. */
-    void notePathSnapshot(const std::string &label,
-                          obs::PathSnapshot snap);
     void writePathArtifacts();
 
     obs::BenchOptions opts_;
     obs::Report rep_;
-    obs::MetricRegistry reg_;
-    Testbed *last_tb_ = nullptr;    ///< last instrument()-ed testbed
     std::vector<CasePerf> perf_;
     /** Per-snapshot path-tracer captures, for the pathtrace/flightrec
      *  artifacts (report path_stages blocks are added as they land). */
     std::vector<std::pair<std::string, obs::PathSnapshot>> path_cases_;
-    bool last_perf_unlabelled_ = false;
     bool trace_done_ = false;
 };
 

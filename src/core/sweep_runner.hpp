@@ -14,9 +14,9 @@
  *
  * Determinism contract: the caller deposits each case's results into
  * per-index storage and merges them *in declaration order* after
- * run() returns (see core::FigReport::mergeCase), so reports and
- * digests are byte-identical for every --jobs value — parallelism
- * changes wall-time only. A Chrome trace captures the first case, so
+ * run() returns (see core::FigReport::sweep), so reports and digests
+ * are byte-identical for every --jobs value — parallelism changes
+ * wall-time only. A Chrome trace captures the first case, so
  * FigReport forces jobs=1 when tracing.
  *
  * Exceptions: a throwing case does not tear down the process from a

@@ -55,9 +55,9 @@ parseTrace(const char *s, bool *out)
     return true;
 }
 
-/** "--jobs" values: a count >= 1. */
+/** "--jobs" (and a bench's own count flag) values: a count >= 1. */
 bool
-parseJobs(const char *s, unsigned *out)
+parsePositive(const char *s, unsigned *out)
 {
     return parseCount(s, out) && *out >= 1;
 }
@@ -122,10 +122,31 @@ rejectValue(const std::string &bench, const char *flag, const char *value,
     std::exit(2);
 }
 
+/** An argument neither BenchOptions nor the bench declares. */
+[[noreturn]] void
+rejectArg(const std::string &bench, const char *arg)
+{
+    std::fprintf(stderr, "%s: unknown argument '%s'\n%s", bench.c_str(),
+                 arg, BenchOptions::usage(bench).c_str());
+    std::exit(2);
+}
+
+/** True when @p arg is `<flag>=<value>` for one of @p flags. */
+bool
+declared(const std::vector<std::string> &flags, const char *arg)
+{
+    for (const std::string &f : flags) {
+        if (matchFlag(arg, f.c_str()) != nullptr)
+            return true;
+    }
+    return false;
+}
+
 } // namespace
 
 BenchOptions
-BenchOptions::parse(int argc, char **argv, const std::string &bench)
+BenchOptions::parse(int argc, char **argv, const std::string &bench,
+                    const std::vector<std::string> &flags)
 {
     BenchOptions o;
     o.bench_ = bench;
@@ -136,7 +157,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
         env != nullptr && !parseTrace(env, &o.trace_requested_))
         rejectValue(bench, "--trace", env, "SRIOV_TRACE");
     if (const char *env = envValue("SRIOV_BENCH_JOBS");
-        env != nullptr && !parseJobs(env, &o.jobs_))
+        env != nullptr && !parsePositive(env, &o.jobs_))
         rejectValue(bench, "--jobs", env, "SRIOV_BENCH_JOBS");
     if (const char *env = envValue("SRIOV_NO_THIN");
         env != nullptr && std::strcmp(env, "0") != 0)
@@ -158,7 +179,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
         if (const char *v = matchFlag(arg, "--out")) {
             o.out_dir_ = v;
         } else if (const char *v = matchFlag(arg, "--jobs")) {
-            if (!parseJobs(v, &o.jobs_))
+            if (!parsePositive(v, &o.jobs_))
                 rejectValue(bench, "--jobs", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--trace")) {
             if (!parseTrace(v, &o.trace_requested_))
@@ -183,8 +204,10 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench)
         } else if (std::strcmp(arg, "--help") == 0
                    || std::strcmp(arg, "-h") == 0) {
             o.help_ = true;
-        } else {
+        } else if (declared(flags, arg)) {
             o.extra_.emplace_back(arg);
+        } else {
+            rejectArg(bench, arg);
         }
     }
     // Must happen before any testbed is built: components sample the
@@ -239,6 +262,18 @@ BenchOptions::usage(const std::string &bench)
            "                 in every mode (env fallback:\n"
            "                 SRIOV_PATHTRACE)\n"
            "  --help         this text\n";
+}
+
+unsigned
+BenchOptions::countArg(const std::string &flag, unsigned dflt) const
+{
+    unsigned n = dflt;
+    for (const std::string &a : extra_) {
+        const char *v = matchFlag(a.c_str(), flag.c_str());
+        if (v != nullptr && !parsePositive(v, &n))
+            rejectValue(bench_, flag.c_str(), v, nullptr);
+    }
+    return n;
 }
 
 const char *

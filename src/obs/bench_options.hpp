@@ -14,7 +14,8 @@
  *   --help         print usage and exit
  * with environment fallbacks SRIOV_BENCH_OUT, SRIOV_TRACE and
  * SRIOV_BENCH_JOBS so CI can turn on reporting without touching each
- * invocation.
+ * invocation. Any other argument exits 2, unless the bench declared
+ * it to parse() (bench_longrun's --hosts=<n>).
  */
 
 #ifndef SRIOV_OBS_BENCH_OPTIONS_HPP
@@ -31,15 +32,18 @@ class BenchOptions
 {
   public:
     /**
-     * Parse argv (and the environment). Unknown arguments are kept in
-     * extraArgs() for bench-specific handling. A value that --trace,
-     * --jobs, --shards, --fluid or --pathtrace (or its environment
-     * fallback) does not accept is an error: parse() names the flag,
-     * prints the usage text to stderr and exits 2. @p bench is the
-     * figure name ("fig06") used to derive the report path.
+     * Parse argv (and the environment). @p flags names the bench's own
+     * `--name=<value>` flags ("--hosts"); those arguments are kept in
+     * extraArgs() for the bench to read. Any other unknown argument,
+     * and a value that --trace, --jobs, --shards, --fluid or
+     * --pathtrace (or its environment fallback) does not accept, is an
+     * error: parse() names it, prints the usage text to stderr and
+     * exits 2. @p bench is the figure name ("fig06") used to derive
+     * the report path.
      */
     static BenchOptions parse(int argc, char **argv,
-                              const std::string &bench);
+                              const std::string &bench,
+                              const std::vector<std::string> &flags = {});
 
     /** Usage text for --help. */
     static std::string usage(const std::string &bench);
@@ -101,6 +105,11 @@ class BenchOptions
     bool helpRequested() const { return help_; }
 
     const std::vector<std::string> &extraArgs() const { return extra_; }
+
+    /** The declared flag @p flag as a count >= 1 (the last one given
+     *  wins), @p dflt when absent; any other value exits 2 like a bad
+     *  mode value. */
+    unsigned countArg(const std::string &flag, unsigned dflt) const;
 
   private:
     std::string bench_;

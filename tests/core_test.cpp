@@ -9,8 +9,13 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/determinism.hpp"
@@ -21,6 +26,7 @@
 #include "core/optimizations.hpp"
 #include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
+#include "obs/json.hpp"
 #include "vmm/hotplug_controller.hpp"
 
 using namespace sriov;
@@ -313,21 +319,40 @@ TEST(SweepRunner, RethrowsLowestIndexError)
     }
 }
 
-// --- FigCase / parallel report merging -----------------------------------
+// --- FigReport::sweep: parallel report merging ---------------------------
 
 namespace {
 
-/** Build a report over 3 small cases with the given job count. */
-std::string
-sweepReportJson(unsigned jobs)
+/** argv for a FigReport: the program name, then @p args. */
+struct Argv
 {
-    const char *argv[] = {"core_test"};
-    core::FigReport fr(1, const_cast<char **>(argv), "figtest",
+    explicit Argv(std::vector<std::string> args) : strs(std::move(args))
+    {
+        strs.insert(strs.begin(), "core_test");
+        for (std::string &s : strs)
+            ptrs.push_back(s.data());
+    }
+    int argc() { return int(ptrs.size()); }
+    char **argv() { return ptrs.data(); }
+
+    std::vector<std::string> strs;
+    std::vector<char *> ptrs;
+};
+
+/** Sweep 3 small cases (1..3 VMs) under @p args and return the report;
+ *  each case's executed events land in @p events and the thread that
+ *  ran its body in @p threads. */
+std::string
+sweepReportJson(std::vector<std::string> args,
+                std::vector<std::uint64_t> *events = nullptr,
+                std::vector<std::thread::id> *threads = nullptr)
+{
+    Argv a(std::move(args));
+    core::FigReport fr(a.argc(), a.argv(), "figtest",
                        "sweep determinism test");
-    std::vector<core::FigCase> cases;
-    for (unsigned n = 1; n <= 3; ++n)
-        cases.emplace_back(std::to_string(n) + "vm");
-    SweepRunner(jobs).run(cases.size(), [&](std::size_t i) {
+    std::vector<std::uint64_t> ev(3);
+    std::vector<std::thread::id> th(3);
+    fr.sweep({"1vm", "2vm", "3vm"}, [&](core::FigCase &c, std::size_t i) {
         core::Testbed::Params p;
         p.num_ports = 1;
         p.opts = OptimizationSet::maskOnly();
@@ -337,15 +362,18 @@ sweepReportJson(unsigned jobs)
                                   core::Testbed::NetMode::Sriov);
             tb.startUdpToGuest(g, 200e6);
         }
-        cases[i].instrument(tb);
-        fr.caseDrive(cases[i], tb,
-                     [&]() { tb.run(sim::Time::ms(50)); });
-        cases[i].snapshot(cases[i].label());
-        cases[i].addMetric(cases[i].label() + ".events",
-                           double(tb.eq().executed()));
+        c.instrument(tb);
+        c.drive(tb, [&]() { tb.run(sim::Time::ms(50)); });
+        c.snapshot(c.label());
+        c.addMetric(c.label() + ".events", double(tb.eq().executed()));
+        ev[i] = tb.executedEvents();
+        th[i] = std::this_thread::get_id();
     });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
+    if (events)
+        *events = ev;
+    if (threads)
+        *threads = th;
+    EXPECT_EQ(fr.finish(), 0);
     return fr.report().toJson();
 }
 
@@ -353,37 +381,89 @@ sweepReportJson(unsigned jobs)
 
 TEST(FigCaseSweep, ParallelReportIsByteIdenticalToSequential)
 {
-    std::string seq = sweepReportJson(1);
-    std::string par = sweepReportJson(4);
+    std::string seq = sweepReportJson({"--jobs=1"});
+    std::string par = sweepReportJson({"--jobs=4"});
     EXPECT_FALSE(seq.empty());
     EXPECT_EQ(seq, par);
 }
 
 TEST(FigCaseSweep, MergePreservesDeclarationOrder)
 {
-    const char *argv[] = {"core_test"};
-    core::FigReport fr(1, const_cast<char **>(argv), "figtest", "order");
-    std::vector<core::FigCase> cases;
-    for (int i = 0; i < 4; ++i)
-        cases.emplace_back("case" + std::to_string(i));
-    // Record snapshots from workers in whatever order; merge must
-    // restore declaration order in the report.
-    SweepRunner(4).run(cases.size(), [&](std::size_t i) {
-        core::Testbed::Params p;
-        p.num_ports = 1;
-        core::Testbed tb(p);
-        cases[i].instrument(tb);
-        cases[i].snapshot(cases[i].label());
-    });
-    for (core::FigCase &c : cases)
-        fr.mergeCase(c);
-    std::string json = fr.report().toJson();
-    std::size_t p0 = json.find("case0");
-    std::size_t p1 = json.find("case1");
-    std::size_t p2 = json.find("case2");
-    std::size_t p3 = json.find("case3");
-    ASSERT_NE(p0, std::string::npos);
-    EXPECT_LT(p0, p1);
-    EXPECT_LT(p1, p2);
-    EXPECT_LT(p2, p3);
+    for (const char *jobs : {"--jobs=1", "--jobs=4"}) {
+        Argv a({jobs});
+        core::FigReport fr(a.argc(), a.argv(), "figtest", "order");
+        // Workers record in whatever order; the merge must restore
+        // declaration order in every section of the report.
+        fr.sweep({"case0", "case1", "case2", "case3"},
+                 [&](core::FigCase &c, std::size_t i) {
+                     core::Testbed::Params p;
+                     p.num_ports = 1;
+                     core::Testbed tb(p);
+                     c.instrument(tb);
+                     c.snapshot(c.label());
+                     c.addMetric(c.label() + ".index", double(i));
+                 });
+        std::string json = fr.report().toJson();
+        for (const char *section : {"\"metrics\"", "\"snapshots\""}) {
+            std::size_t at = json.find(section);
+            ASSERT_NE(at, std::string::npos) << jobs << " " << section;
+            std::size_t p0 = json.find("case0", at);
+            std::size_t p1 = json.find("case1", at);
+            std::size_t p2 = json.find("case2", at);
+            std::size_t p3 = json.find("case3", at);
+            ASSERT_NE(p0, std::string::npos) << jobs << " " << section;
+            EXPECT_LT(p0, p1) << jobs << " " << section;
+            EXPECT_LT(p1, p2) << jobs << " " << section;
+            EXPECT_LT(p2, p3) << jobs << " " << section;
+        }
+    }
+}
+
+TEST(FigCaseSweep, TraceAndPerfFollowTheCaseList)
+{
+    namespace fs = std::filesystem;
+    fs::path dir = fs::path(::testing::TempDir()) / "figcase_sweep_trace";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    std::vector<std::uint64_t> events;
+    std::vector<std::thread::id> threads;
+    std::string traced = sweepReportJson(
+        {"--out=" + dir.string(), "--trace", "--jobs=4"}, &events, &threads);
+
+    // --trace forces one thread: every body ran on the calling thread.
+    for (const std::thread::id &t : threads)
+        EXPECT_EQ(t, std::this_thread::get_id());
+    // Exactly one Chrome trace, named after the bench.
+    std::vector<std::string> traces;
+    for (const auto &e : fs::directory_iterator(dir)) {
+        std::string name = e.path().filename().string();
+        if (name.ends_with(".trace.json"))
+            traces.push_back(name);
+    }
+    EXPECT_EQ(traces, std::vector<std::string>{"figtest.trace.json"});
+
+    // One perf entry per case, in declaration order, each carrying its
+    // testbed's executed events.
+    std::ifstream in(dir / "figtest.perf.json");
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    auto doc = obs::JsonValue::parse(text);
+    ASSERT_TRUE(doc.has_value());
+    const obs::JsonValue *cases = doc->find("cases");
+    ASSERT_NE(cases, nullptr);
+    ASSERT_EQ(cases->items.size(), 3u);
+    const char *labels[] = {"1vm", "2vm", "3vm"};
+    for (std::size_t i = 0; i < 3; ++i) {
+        const obs::JsonValue &c = cases->items[i];
+        ASSERT_NE(c.find("label"), nullptr);
+        EXPECT_EQ(c.find("label")->str, labels[i]);
+        ASSERT_NE(c.find("events"), nullptr);
+        EXPECT_GT(events[i], 0u);
+        EXPECT_EQ(std::uint64_t(c.find("events")->number), events[i]);
+    }
+
+    // Tracing changes neither the report nor what it measures.
+    EXPECT_EQ(traced, sweepReportJson({"--jobs=4"}));
+    fs::remove_all(dir);
 }

@@ -430,14 +430,15 @@ TEST(Report, ZeroExpectedPassesOnlyOnExactMatch)
 namespace {
 
 BenchOptions
-parseArgs(std::vector<std::string> args, const std::string &bench = "figXX")
+parseArgs(std::vector<std::string> args, const std::string &bench = "figXX",
+          const std::vector<std::string> &flags = {})
 {
     std::vector<char *> argv;
     static std::string prog = "bench";
     argv.push_back(prog.data());
     for (auto &a : args)
         argv.push_back(a.data());
-    return BenchOptions::parse(int(argv.size()), argv.data(), bench);
+    return BenchOptions::parse(int(argv.size()), argv.data(), bench, flags);
 }
 
 } // namespace
@@ -466,10 +467,14 @@ TEST(BenchOptions, OutDirDerivesReportAndTracePaths)
 
 TEST(BenchOptions, UnknownArgsAreKept)
 {
-    auto o = parseArgs({"--custom=1", "--help"});
+    // A flag the bench declares is kept for it to read.
+    auto o = parseArgs({"--hosts=4", "--help"}, "longrun", {"--hosts"});
     EXPECT_TRUE(o.helpRequested());
     ASSERT_EQ(o.extraArgs().size(), 1u);
-    EXPECT_EQ(o.extraArgs()[0], "--custom=1");
+    EXPECT_EQ(o.extraArgs()[0], "--hosts=4");
+    EXPECT_EQ(o.countArg("--hosts", 1), 4u);
+    EXPECT_EQ(parseArgs({}, "longrun", {"--hosts"}).countArg("--hosts", 1),
+              1u);
 }
 
 TEST(BenchOptions, EnvironmentFallback)
@@ -599,6 +604,55 @@ TEST(BenchOptionsDeathTest, RejectsZeroJobs)
         },
         ::testing::ExitedWithCode(2),
         "invalid --jobs value '0' \\(from SRIOV_BENCH_JOBS\\).*usage");
+}
+
+// An argument no one declared, and a declared count that is not one,
+// fail closed the same way.
+
+TEST(BenchOptionsDeathTest, RejectsUndeclaredFlags)
+{
+    EXPECT_EXIT(parseArgs({"--bogus-flag=1"}, "fig08"),
+                ::testing::ExitedWithCode(2),
+                "fig08: unknown argument '--bogus-flag=1'.*usage: fig08");
+    EXPECT_EXIT(parseArgs({"--hostz=3"}, "longrun", {"--hosts"}),
+                ::testing::ExitedWithCode(2),
+                "longrun: unknown argument '--hostz=3'.*usage: longrun");
+    // Declared flags take a value; bare or undeclared elsewhere they
+    // are unknown.
+    EXPECT_EXIT(parseArgs({"--hosts"}, "longrun", {"--hosts"}),
+                ::testing::ExitedWithCode(2),
+                "longrun: unknown argument '--hosts'.*usage: longrun");
+    EXPECT_EXIT(parseArgs({"--hosts=2"}, "fig07"),
+                ::testing::ExitedWithCode(2),
+                "fig07: unknown argument '--hosts=2'.*usage: fig07");
+}
+
+TEST(BenchOptionsDeathTest, RejectsNonNumericHosts)
+{
+    EXPECT_EXIT(parseArgs({"--hosts=abc"}, "longrun", {"--hosts"})
+                    .countArg("--hosts", 1),
+                ::testing::ExitedWithCode(2),
+                "longrun: invalid --hosts value 'abc'.*usage: longrun");
+    EXPECT_EXIT(parseArgs({"--hosts=-1"}, "longrun", {"--hosts"})
+                    .countArg("--hosts", 1),
+                ::testing::ExitedWithCode(2),
+                "longrun: invalid --hosts value '-1'.*usage: longrun");
+}
+
+TEST(BenchOptionsDeathTest, RejectsZeroHosts)
+{
+    EXPECT_EXIT(parseArgs({"--hosts=0"}, "longrun", {"--hosts"})
+                    .countArg("--hosts", 1),
+                ::testing::ExitedWithCode(2),
+                "longrun: invalid --hosts value '0'.*usage: longrun");
+}
+
+TEST(BenchOptionsDeathTest, RejectsEmptyHosts)
+{
+    EXPECT_EXIT(parseArgs({"--hosts="}, "longrun", {"--hosts"})
+                    .countArg("--hosts", 1),
+                ::testing::ExitedWithCode(2),
+                "longrun: invalid --hosts value ''.*usage: longrun");
 }
 
 // ---------------------------------------------------------------- PathTrace
