@@ -35,8 +35,14 @@ main(int argc, char **argv)
 
     const std::vector<double> rs{0.8, 1.0, 1.1, 1.2, 1.5, 2.0};
     std::vector<std::string> labels;
-    for (double r : rs)
-        labels.push_back("r" + core::Table::num(r, 1));
+    for (double r : rs) {
+        // Appended, not "r" + std::string: GCC 12 at -O3 misreads the
+        // insert-at-0 behind that operator as an overlapping memcpy
+        // (-Wrestrict).
+        std::string label = "r";
+        label += core::Table::num(r, 1);
+        labels.push_back(label);
+    }
     std::vector<double> rx(rs.size()), tx(rs.size()), loss(rs.size()),
         irq_rate(rs.size()), guest_pct(rs.size());
     fr.sweep(labels, [&](core::FigCase &c, std::size_t i) {

@@ -28,8 +28,16 @@ invariantName(Invariant inv)
 std::string
 Violation::toString() const
 {
-    return "[" + when.toString() + "] " + invariantName(inv) + ": "
-        + detail;
+    // Appended piece by piece: "[" + std::string inserts at offset 0,
+    // which GCC 12 at -O3 misreads as an overlapping memcpy
+    // (-Wrestrict).
+    std::string s = "[";
+    s += when.toString();
+    s += "] ";
+    s += invariantName(inv);
+    s += ": ";
+    s += detail;
+    return s;
 }
 
 InvariantChecker::InvariantChecker(sim::EventQueue &eq) : eq_(eq)

@@ -90,7 +90,7 @@ FigReport::FigReport(int argc, char **argv, const std::string &fig,
       rep_(fig, title)
 {
     if (opts_.helpRequested()) {
-        std::fputs(obs::BenchOptions::usage(fig).c_str(), stdout);
+        std::fputs(obs::BenchOptions::usage(fig, flags).c_str(), stdout);
         return;
     }
     rep_.setConfig("fig", fig);

@@ -111,23 +111,24 @@ envValue(const char *name)
  *  the flag (and the variable it came from), print the usage text and
  *  exit 2. */
 [[noreturn]] void
-rejectValue(const std::string &bench, const char *flag, const char *value,
-            const char *env)
+rejectValue(const std::string &bench, const std::vector<std::string> &flags,
+            const char *flag, const char *value, const char *env)
 {
     std::fprintf(stderr, "%s: invalid %s value '%s'", bench.c_str(), flag,
                  value);
     if (env != nullptr)
         std::fprintf(stderr, " (from %s)", env);
-    std::fprintf(stderr, "\n%s", BenchOptions::usage(bench).c_str());
+    std::fprintf(stderr, "\n%s", BenchOptions::usage(bench, flags).c_str());
     std::exit(2);
 }
 
 /** An argument neither BenchOptions nor the bench declares. */
 [[noreturn]] void
-rejectArg(const std::string &bench, const char *arg)
+rejectArg(const std::string &bench, const std::vector<std::string> &flags,
+          const char *arg)
 {
     std::fprintf(stderr, "%s: unknown argument '%s'\n%s", bench.c_str(),
-                 arg, BenchOptions::usage(bench).c_str());
+                 arg, BenchOptions::usage(bench, flags).c_str());
     std::exit(2);
 }
 
@@ -150,29 +151,30 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
 {
     BenchOptions o;
     o.bench_ = bench;
+    o.flags_ = flags;
 
     if (const char *env = envValue("SRIOV_BENCH_OUT"))
         o.out_dir_ = env;
     if (const char *env = envValue("SRIOV_TRACE");
         env != nullptr && !parseTrace(env, &o.trace_requested_))
-        rejectValue(bench, "--trace", env, "SRIOV_TRACE");
+        rejectValue(bench, flags, "--trace", env, "SRIOV_TRACE");
     if (const char *env = envValue("SRIOV_BENCH_JOBS");
         env != nullptr && !parsePositive(env, &o.jobs_))
-        rejectValue(bench, "--jobs", env, "SRIOV_BENCH_JOBS");
+        rejectValue(bench, flags, "--jobs", env, "SRIOV_BENCH_JOBS");
     if (const char *env = envValue("SRIOV_NO_THIN");
         env != nullptr && std::strcmp(env, "0") != 0)
         o.no_thin_ = true;
     if (const char *env = envValue("SRIOV_SHARDS");
         env != nullptr && !parseCount(env, &o.shards_))
-        rejectValue(bench, "--shards", env, "SRIOV_SHARDS");
+        rejectValue(bench, flags, "--shards", env, "SRIOV_SHARDS");
     if (const char *env = envValue("SRIOV_FLUID");
         env != nullptr && !parseFluid(env, &o.fluid_mode_))
-        rejectValue(bench, "--fluid", env, "SRIOV_FLUID");
+        rejectValue(bench, flags, "--fluid", env, "SRIOV_FLUID");
     PathTraceMode pt_mode = PathTraceMode::Off;
     if (const char *env = envValue("SRIOV_PATHTRACE");
         env != nullptr
         && !parsePathTraceMode(env, &pt_mode, &o.pathtrace_requested_))
-        rejectValue(bench, "--pathtrace", env, "SRIOV_PATHTRACE");
+        rejectValue(bench, flags, "--pathtrace", env, "SRIOV_PATHTRACE");
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -180,25 +182,25 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
             o.out_dir_ = v;
         } else if (const char *v = matchFlag(arg, "--jobs")) {
             if (!parsePositive(v, &o.jobs_))
-                rejectValue(bench, "--jobs", v, nullptr);
+                rejectValue(bench, flags, "--jobs", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--trace")) {
             if (!parseTrace(v, &o.trace_requested_))
-                rejectValue(bench, "--trace", v, nullptr);
+                rejectValue(bench, flags, "--trace", v, nullptr);
         } else if (std::strcmp(arg, "--trace") == 0) {
             o.trace_requested_ = true;
         } else if (std::strcmp(arg, "--no-thin") == 0) {
             o.no_thin_ = true;
         } else if (const char *v = matchFlag(arg, "--shards")) {
             if (!parseCount(v, &o.shards_))
-                rejectValue(bench, "--shards", v, nullptr);
+                rejectValue(bench, flags, "--shards", v, nullptr);
         } else if (const char *v = matchFlag(arg, "--fluid")) {
             if (!parseFluid(v, &o.fluid_mode_))
-                rejectValue(bench, "--fluid", v, nullptr);
+                rejectValue(bench, flags, "--fluid", v, nullptr);
         } else if (std::strcmp(arg, "--fluid") == 0) {
             o.fluid_mode_ = sim::FluidMode::On;
         } else if (const char *v = matchFlag(arg, "--pathtrace")) {
             if (!parsePathTraceMode(v, &pt_mode, &o.pathtrace_requested_))
-                rejectValue(bench, "--pathtrace", v, nullptr);
+                rejectValue(bench, flags, "--pathtrace", v, nullptr);
         } else if (std::strcmp(arg, "--pathtrace") == 0) {
             parsePathTraceMode("", &pt_mode, &o.pathtrace_requested_);
         } else if (std::strcmp(arg, "--help") == 0
@@ -207,7 +209,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
         } else if (declared(flags, arg)) {
             o.extra_.emplace_back(arg);
         } else {
-            rejectArg(bench, arg);
+            rejectArg(bench, flags, arg);
         }
     }
     // Must happen before any testbed is built: components sample the
@@ -220,10 +222,19 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
 }
 
 std::string
-BenchOptions::usage(const std::string &bench)
+BenchOptions::usage(const std::string &bench,
+                    const std::vector<std::string> &flags)
 {
-    return "usage: " + bench + " [options]\n"
-           "  --out=<dir>    write " + bench + ".json report into <dir>\n"
+    // The bench's own flags first; countArg() is their one reader, so
+    // each takes a count.
+    std::string own;
+    for (const std::string &f : flags) {
+        std::string line = "  " + f + "=<n>";
+        line.append(line.size() < 17 ? 17 - line.size() : 1, ' ');
+        own += line + "a count >= 1 (" + bench + " only)\n";
+    }
+    return "usage: " + bench + " [options]\n" + own
+           + "  --out=<dir>    write " + bench + ".json report into <dir>\n"
            "                 (env fallback: SRIOV_BENCH_OUT)\n"
            "  --trace[=1|0]  capture a Chrome trace_event JSON of the\n"
            "                 first case (CPU work spans and tagged\n"
@@ -271,7 +282,7 @@ BenchOptions::countArg(const std::string &flag, unsigned dflt) const
     for (const std::string &a : extra_) {
         const char *v = matchFlag(a.c_str(), flag.c_str());
         if (v != nullptr && !parsePositive(v, &n))
-            rejectValue(bench_, flag.c_str(), v, nullptr);
+            rejectValue(bench_, flags_, flag.c_str(), v, nullptr);
     }
     return n;
 }

@@ -45,8 +45,10 @@ class BenchOptions
                               const std::string &bench,
                               const std::vector<std::string> &flags = {});
 
-    /** Usage text for --help. */
-    static std::string usage(const std::string &bench);
+    /** Usage text for --help: one line per declared flag in @p flags
+     *  (as passed to parse()), then the shared flags. */
+    static std::string usage(const std::string &bench,
+                             const std::vector<std::string> &flags = {});
 
     const std::string &bench() const { return bench_; }
 
@@ -121,6 +123,8 @@ class BenchOptions
     bool trace_requested_ = false;
     bool pathtrace_requested_ = false;
     bool help_ = false;
+    /** The bench's declared flags, for the usage countArg() prints. */
+    std::vector<std::string> flags_;
     std::vector<std::string> extra_;
 };
 

@@ -6,6 +6,21 @@
 
 namespace sriov::sim {
 
+namespace {
+
+constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+
+/** kFnvPrime^k mod 2^64: the FNV-1a fold of k zero bytes, k = 0..8. */
+constexpr std::array<std::uint64_t, 9> kZeroBytesFold = [] {
+    std::array<std::uint64_t, 9> p{};
+    p[0] = 1;
+    for (std::size_t k = 1; k < p.size(); ++k)
+        p[k] = p[k - 1] * kFnvPrime;
+    return p;
+}();
+
+} // namespace
+
 void
 EventQueue::addExecHook(ExecHook *h)
 {
@@ -31,8 +46,6 @@ EventQueue::allocSlot()
         free_head_ = slotRef(idx).next_free;
         return idx;
     }
-    if (slot_count_ == EventHandle::kNone)
-        panic("event queue slot store overflow");
     if ((slot_count_ & kSlotChunkMask) == 0)
         // Default-init, not make_unique's value-init: the latter
         // zeroes every slot's 80-byte capture buffer (28 KiB per
@@ -56,13 +69,14 @@ void
 EventQueue::heapPush(HeapKey k)
 {
     // Percolate a hole up instead of swapping: each level is one
-    // 24-byte copy. Scheduling in time order (the common pattern)
+    // 16-byte copy. Scheduling in time order (the common pattern)
     // terminates at the leaf immediately.
     heap_.push_back(k);
     std::size_t i = heap_.size() - 1;
+    const Rank r = rank(k);
     while (i > 0) {
         std::size_t p = (i - 1) >> 2;
-        if (!keyBefore(k, heap_[p]))
+        if (!(r < rank(heap_[p])))
             break;
         heap_[i] = heap_[p];
         i = p;
@@ -71,39 +85,55 @@ EventQueue::heapPush(HeapKey k)
 }
 
 void
-EventQueue::heapRemoveTop()
+EventQueue::siftDown(std::size_t i, HeapKey k)
 {
-    // 4-ary sift-down: half the levels of a binary heap and all four
-    // children share a pair of cache lines, which is where the pop
-    // cost lives for the multi-thousand-event heaps of the scale runs.
-    HeapKey last = heap_.back();
-    heap_.pop_back();
-    std::size_t n = heap_.size();
-    if (n == 0)
-        return;
-    std::size_t i = 0;
+    // 4-ary: half the levels of a binary heap, and all four children
+    // share a pair of cache lines, which is where the pop cost lives
+    // for the deep heaps of the scale runs.
+    HeapKey *h = heap_.data();
+    const std::size_t n = heap_.size();
+    const Rank rk = rank(k);
     for (;;) {
-        std::size_t c = 4 * i + 1;
-        if (c >= n)
-            break;
-        std::size_t m = c;
-        if (c + 4 <= n) {
-            // Full fan-out (the common case on a large heap): an
-            // unrolled min-of-four keeps the scan branch-predictable.
-            if (keyBefore(heap_[c + 1], heap_[m])) m = c + 1;
-            if (keyBefore(heap_[c + 2], heap_[m])) m = c + 2;
-            if (keyBefore(heap_[c + 3], heap_[m])) m = c + 3;
-        } else {
+        const std::size_t c = 4 * i + 1;
+        if (c + 4 > n) {
+            // Last level, at most three children: a short scan.
+            std::size_t m = c;
             for (std::size_t j = c + 1; j < n; ++j)
-                if (keyBefore(heap_[j], heap_[m]))
+                if (rank(h[j]) < rank(h[m]))
                     m = j;
-        }
-        if (!keyBefore(heap_[m], last))
+            if (m < n && rank(h[m]) < rk) {
+                h[i] = h[m];
+                i = m;
+            }
             break;
-        heap_[i] = heap_[m];
+        }
+        // Full fan-out: the least child wins a pairwise tournament.
+        // Each round is one compare feeding conditional moves, and the
+        // final pick is a mask (a ternary there compiles to a branch),
+        // so the four siblings cost no data-dependent branch; only the
+        // stop test below branches.
+        const Rank r0 = rank(h[c]), r1 = rank(h[c + 1]);
+        const Rank r2 = rank(h[c + 2]), r3 = rank(h[c + 3]);
+        const bool b01 = r1 < r0, b23 = r3 < r2;
+        const std::size_t m01 = c + b01, m23 = c + 2 + b23;
+        const Rank v01 = b01 ? r1 : r0, v23 = b23 ? r3 : r2;
+        const std::size_t pick = std::size_t(0) - std::size_t(v23 < v01);
+        const std::size_t m = m01 + ((m23 - m01) & pick);
+        if (!(rank(h[m]) < rk))
+            break;
+        h[i] = h[m];
         i = m;
     }
-    heap_[i] = last;
+    h[i] = k;
+}
+
+void
+EventQueue::heapRemoveTop()
+{
+    HeapKey last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty())
+        siftDown(0, last);
 }
 
 EventQueue::PreparedEvent
@@ -121,7 +151,7 @@ EventQueue::prepareEvent(Time when, const char *tag)
     Slot &s = slotRef(idx);
     s.tag = tag;
     s.state = Slot::State::Pending;
-    heapPush(HeapKey{when, seq, idx});
+    heapPush(HeapKey{when, tieWord(seq, idx)});
     ++live_events_;
     return PreparedEvent{&s, EventHandle(idx, s.gen)};
 }
@@ -153,7 +183,7 @@ EventQueue::purgeCancelledTop()
     if (cancelled_pending_ == 0)
         return;
     while (!heap_.empty()) {
-        std::uint32_t idx = heap_[0].slot;
+        std::uint32_t idx = slotOf(heap_[0]);
         Slot &s = slotRef(idx);
         if (s.state != Slot::State::Cancelled)
             break;
@@ -163,20 +193,56 @@ EventQueue::purgeCancelledTop()
     }
 }
 
+std::uint64_t
+EventQueue::tieWord(std::uint64_t seq, std::uint32_t slot)
+{
+    if ((seq >> kSeqBits) != 0 || (slot >> kSlotBits) != 0)
+        panic("event queue key overflow: seq %llu, slot %u",
+              static_cast<unsigned long long>(seq), slot);
+    return seq << kSlotBits | slot;
+}
+
+std::uint64_t
+EventQueue::fnvFoldWord(std::uint64_t d, std::uint64_t v)
+{
+    // Byte i folds as d = (d ^ b_i) * kPrime. A zero byte leaves only
+    // the multiply, so the zero bytes above v's highest set byte
+    // collapse into one multiply by a power of the prime: a 40-bit
+    // timestamp costs six multiplies instead of eight, a 20-bit seq
+    // four.
+    std::size_t bytes = 0;
+    for (; v != 0; v >>= 8, ++bytes)
+        d = (d ^ (v & 0xff)) * kFnvPrime;
+    return d * kZeroBytesFold[8 - bytes];
+}
+
 const EventQueue::TagFold &
 EventQueue::tagFold(const char *tag)
 {
-    // One event commonly repeats its predecessor's tag (bursts of
-    // wire/CPU events); a one-entry MRU skips even the map lookup.
-    if (tag == last_tag_)
-        return *last_fold_;
+    // Direct-mapped by the literal's address (Fibonacci hashing spreads
+    // neighbouring literals over the lines); a hit is one compare.
+    const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(tag);
+    TagLine &line =
+        tag_cache_[(p * 0x9e3779b97f4a7c15ull) >> (64 - kTagCacheBits)];
+    if (line.tag == tag)
+        return *line.fold;
+    return tagFoldMiss(line, tag);
+}
+
+const EventQueue::TagFold &
+EventQueue::tagFoldMiss(TagLine &line, const char *tag)
+{
+    line.tag = tag;
+    if (tag == nullptr || *tag == '\0') {
+        line.fold = &kEmptyTagFold;
+        return kEmptyTagFold;
+    }
     auto it = tag_folds_.find(tag);
     if (it == tag_folds_.end()) {
-        constexpr std::uint64_t kPrime = 0x100000001b3ull;
         auto tf = std::make_unique<TagFold>();
         std::uint64_t pow = 1;
         for (const char *p = tag; *p != '\0'; ++p)
-            pow *= kPrime;
+            pow *= kFnvPrime;
         tf->pow = pow;
         // The byte-wise FNV-1a fold d -> (d ^ b) * kPrime mod 2^64 is
         // affine in d once the trajectory of d's low byte is fixed,
@@ -191,65 +257,59 @@ EventQueue::tagFold(const char *tag)
             std::uint64_t d = lo;
             for (const char *p = tag; *p != '\0'; ++p) {
                 d ^= std::uint64_t(static_cast<unsigned char>(*p));
-                d *= kPrime;
+                d *= kFnvPrime;
             }
             tf->add[lo] = d - lo * pow;
         }
         it = tag_folds_.emplace(tag, std::move(tf)).first;
     }
-    last_tag_ = tag;
-    last_fold_ = it->second.get();
-    return *last_fold_;
+    line.fold = it->second.get();
+    return *line.fold;
 }
 
 void
 EventQueue::foldDigest(Time when, std::uint64_t seq, const char *tag)
 {
-    constexpr std::uint64_t kPrime = 0x100000001b3ull;
-    auto fold = [this](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            digest_ ^= (v >> (8 * i)) & 0xff;
-            digest_ *= kPrime;
-        }
-    };
-    fold(std::uint64_t(when.picos()));
-    fold(seq);
-    if (tag == nullptr || *tag == '\0')
-        return;
+    std::uint64_t d = fnvFoldWord(digest_, std::uint64_t(when.picos()));
+    d = fnvFoldWord(d, seq);
+    // An empty tag folds as the identity (kEmptyTagFold), so no branch
+    // on the tag's content.
     const TagFold &tf = tagFold(tag);
-    digest_ = digest_ * tf.pow + tf.add[digest_ & 0xff];
+    digest_ = d * tf.pow + tf.add[d & 0xff];
 }
 
 void
 EventQueue::executeTop()
 {
-    HeapKey k = heap_[0];
+    const HeapKey k = heap_[0];
     heapRemoveTop();
+    const std::uint64_t seq = k.tie >> kSlotBits;
+    const std::uint32_t idx = slotOf(k);
     // Chunked slot storage never relocates, so the callback runs in
     // place — no per-event move even when it schedules more events.
     // Running state makes a self-cancel from inside the callback a
     // no-op (the event has already fired).
-    Slot &s = slotRef(k.slot);
+    Slot &s = slotRef(idx);
     const char *tag = s.tag;
     s.state = Slot::State::Running;
     --live_events_;
     if (observer_ != nullptr)
-        observer_->onExecute(k.when, now_, k.seq, tag);
+        observer_->onExecute(k.when, now_, seq, tag);
     now_ = k.when;
     ++executed_;
-    foldDigest(k.when, k.seq, tag);
+    foldDigest(k.when, seq, tag);
     if (!exec_hooks_.empty()) {
         // Iterate by index: the callback (or a hook) may add or remove
         // hooks mid-event, e.g. a tracer detaching at a record limit.
         for (std::size_t i = 0; i < exec_hooks_.size(); ++i)
-            exec_hooks_[i]->onEventStart(k.when, k.seq, tag);
+            exec_hooks_[i]->onEventStart(k.when, seq, tag);
         s.fn();
         for (std::size_t i = 0; i < exec_hooks_.size(); ++i)
-            exec_hooks_[i]->onEventEnd(k.when, k.seq, tag);
+            exec_hooks_[i]->onEventEnd(k.when, seq, tag);
     } else {
         s.fn();
     }
-    freeSlot(s, k.slot);
+    freeSlot(s, idx);
 }
 
 std::uint64_t
@@ -277,10 +337,10 @@ EventQueue::snapshotPending(std::vector<PendingEvent> &out) const
     out.reserve(heap_.size());
     for (std::uint32_t i = 0; i < heap_.size(); ++i) {
         const HeapKey &k = heap_[i];
-        const Slot &s = slotRef(k.slot);
+        const Slot &s = slotRef(slotOf(k));
         if (s.state != Slot::State::Pending)
             continue;
-        out.push_back(PendingEvent{k.when, k.seq, s.tag, i});
+        out.push_back(PendingEvent{k.when, k.tie >> kSlotBits, s.tag, i});
     }
 }
 
@@ -290,25 +350,8 @@ EventQueue::heapRebuild()
     // Bottom-up 4-ary heapify; cold path (once per fluid warp).
     if (heap_.size() < 2)
         return;
-    for (std::size_t r = (heap_.size() - 2) / 4 + 1; r-- > 0;) {
-        HeapKey k = heap_[r];
-        std::size_t i = r;
-        std::size_t n = heap_.size();
-        for (;;) {
-            std::size_t c = 4 * i + 1;
-            if (c >= n)
-                break;
-            std::size_t m = c;
-            for (std::size_t j = c + 1; j < n && j < c + 4; ++j)
-                if (keyBefore(heap_[j], heap_[m]))
-                    m = j;
-            if (!keyBefore(heap_[m], k))
-                break;
-            heap_[i] = heap_[m];
-            i = m;
-        }
-        heap_[i] = k;
-    }
+    for (std::size_t r = (heap_.size() - 2) / 4 + 1; r-- > 0;)
+        siftDown(r, heap_[r]);
 }
 
 void
@@ -324,6 +367,10 @@ EventQueue::fluidWarp(Time delta,
     }
     now_ += delta;
     heapRebuild();
+    // Cancelled keys are not in the snapshot, so they keep their old
+    // times and may now lie in the past. They will never run; drop
+    // them so the check below sees the least live event.
+    purgeCancelledTop();
     if (!heap_.empty() && heap_[0].when < now_)
         panic("fluid warp left an absolute event in the past: %s < %s",
               heap_[0].when.toString().c_str(),

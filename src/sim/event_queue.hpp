@@ -11,16 +11,20 @@
  *  - callbacks are sim::InplaceFn — captures up to 80 bytes live
  *    inline, so the schedule→execute path performs zero heap
  *    allocations for every per-packet and per-CPU event;
- *  - a 4-ary min-heap sifts 24-byte POD keys (when, seq, slot) while
- *    the callback/tag live in a generation-tagged slot map, so heap
- *    percolation never moves a callback;
+ *  - a 4-ary min-heap sifts 16-byte POD keys {when, seq << 24 | slot}
+ *    while the callback/tag live in a generation-tagged slot map, so
+ *    heap percolation never moves a callback; one unsigned 128-bit
+ *    compare orders two keys, and a sift-down picks the least of four
+ *    children by a pairwise tournament of conditional moves;
  *  - slots live in fixed-size chunks whose addresses never change, so
  *    the callback is invoked in place — no per-event move of the
  *    capture, and no slot relocation when the store grows mid-event;
  *  - cancellation flips the slot's state — O(1), no hashing — and the
  *    stale heap key is dropped when it reaches the top;
- *  - the order digest memoizes each tag's FNV-1a contribution (keyed
- *    by the literal's pointer), folding repeated tags in O(1).
+ *  - the order digest folds `when` and `seq` with one multiply per
+ *    significant byte plus one for all the zero bytes above it, and
+ *    memoizes each tag's FNV-1a contribution, found through a small
+ *    direct-mapped cache keyed by the literal's pointer.
  *
  * Two correctness facilities are built in (see src/check/):
  *  - an Observer that is told about schedule-in-the-past attempts and
@@ -38,6 +42,7 @@
 #ifndef SRIOV_SIM_EVENT_QUEUE_HPP
 #define SRIOV_SIM_EVENT_QUEUE_HPP
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -245,7 +250,8 @@ class EventQueue
      * their absolute due times. Rebuilds the heap — pop order is a
      * pure function of the (when, seq) keys, so any heap shape yields
      * the same deterministic schedule. Panics if the warp would leave
-     * an unshifted event in the past.
+     * an unshifted live event in the past; cancelled keys, which the
+     * snapshot omits, are dropped instead.
      */
     void fluidWarp(Time delta, const std::vector<std::uint32_t> &shift_keys);
 
@@ -275,29 +281,57 @@ class EventQueue
     std::size_t execHookCount() const { return exec_hooks_.size(); }
     /** @} */
 
+    /**
+     * @name Key and digest words.
+     *
+     * tieWord() packs a heap key's tie-break word, seq << kSlotBits |
+     * slot, and panics when seq or slot does not fit its field.
+     * fnvFoldWord() folds the eight little-endian bytes of @p v into
+     * the FNV-1a digest @p d, bit-identical to the byte loop. Both are
+     * public so tests can pin them at values no run reaches.
+     * @{
+     */
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr unsigned kSeqBits = 64 - kSlotBits;
+    static std::uint64_t tieWord(std::uint64_t seq, std::uint32_t slot);
+    static std::uint64_t fnvFoldWord(std::uint64_t d, std::uint64_t v);
+    /** @} */
+
   private:
     /**
-     * What the heap actually sifts: a 24-byte POD. The payload
+     * What the heap actually sifts: a 16-byte POD. The payload
      * (callback, tag) stays put in the slot store, so percolation is
-     * three word moves instead of a std::function relocation.
+     * two word moves instead of a std::function relocation.
      *
-     * Keys are totally ordered — seq is unique — so any min-heap shape
-     * pops the exact same sequence; the heap arity is a pure
-     * performance choice and cannot affect the order digest.
+     * tie = seq << kSlotBits | slot. seq is unique and occupies the
+     * high bits, so ordering by tie is FIFO by seq, and keys are
+     * totally ordered: any min-heap shape pops the exact same
+     * sequence, and the heap arity is a pure performance choice that
+     * cannot affect the order digest.
      */
     struct HeapKey
     {
         Time when;
-        std::uint64_t seq;
-        std::uint32_t slot;
+        std::uint64_t tie;
     };
 
-    /** Min-first comparison: earlier time, then FIFO by seq. */
-    static bool
-    keyBefore(const HeapKey &a, const HeapKey &b)
+    /**
+     * A key as one unsigned 128-bit number, when above tie: earlier
+     * time, then FIFO by seq, in a single compare (no branch on the
+     * time tie). when is never negative — the clock starts at zero and
+     * scheduling in the past is refused — so the unsigned view keeps
+     * Time's order.
+     */
+    __extension__ using Rank = unsigned __int128;
+    static Rank
+    rank(const HeapKey &k)
     {
-        if (a.when != b.when) return a.when < b.when;
-        return a.seq < b.seq;
+        return Rank(std::uint64_t(k.when.picos())) << 64 | k.tie;
+    }
+    static std::uint32_t
+    slotOf(const HeapKey &k)
+    {
+        return std::uint32_t(k.tie & ((std::uint64_t(1) << kSlotBits) - 1));
     }
 
     /**
@@ -342,12 +376,27 @@ class EventQueue
         return slot_chunks_[idx >> kSlotChunkShift][idx & kSlotChunkMask];
     }
 
-    /** Memoized FNV-1a contribution of one tag (see foldTag()). */
+    /** Memoized FNV-1a contribution of one tag (see tagFold()). */
     struct TagFold
     {
         std::uint64_t pow;          ///< kPrime^strlen(tag)
         std::uint64_t add[256];     ///< indexed by digest's low byte
     };
+
+    /** The fold of an empty (or null) tag: the identity. */
+    static constexpr TagFold kEmptyTagFold{1, {}};
+
+    /**
+     * One line of the direct-mapped tag cache in front of tag_folds_.
+     * A fresh line maps the null tag to the identity fold, so a lookup
+     * needs no "line empty" test.
+     */
+    struct TagLine
+    {
+        const char *tag = nullptr;
+        const TagFold *fold = &kEmptyTagFold;
+    };
+    static constexpr unsigned kTagCacheBits = 6;
 
     /**
      * Everything scheduleAt() does except constructing the callable:
@@ -367,6 +416,8 @@ class EventQueue
     void freeSlot(Slot &s, std::uint32_t idx);
     void heapPush(HeapKey k);
     void heapRemoveTop();
+    /** Move @p k down from heap position @p i to where it belongs. */
+    void siftDown(std::size_t i, HeapKey k);
     /** Full heapify after fluidWarp()'s selective key shift. */
     void heapRebuild();
     /** Pop-and-free every cancelled key at the heap top. */
@@ -375,6 +426,8 @@ class EventQueue
     void executeTop();
     void foldDigest(Time when, std::uint64_t seq, const char *tag);
     const TagFold &tagFold(const char *tag);
+    /** tagFold()'s miss path: find or build the fold, fill the line. */
+    const TagFold &tagFoldMiss(TagLine &line, const char *tag);
 
     std::vector<HeapKey> heap_;    ///< 4-ary min-heap, root at [0]
     std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
@@ -386,8 +439,7 @@ class EventQueue
     std::uint64_t live_events_ = 0;
     std::size_t cancelled_pending_ = 0;
     std::uint64_t digest_ = 0xcbf29ce484222325ull;    // FNV-1a offset basis
-    const void *last_tag_ = nullptr;
-    const TagFold *last_fold_ = nullptr;
+    std::array<TagLine, std::size_t(1) << kTagCacheBits> tag_cache_{};
     std::unordered_map<const void *, std::unique_ptr<TagFold>> tag_folds_;
     Observer *observer_ = nullptr;
     std::vector<ExecHook *> exec_hooks_;

@@ -360,8 +360,12 @@ TEST(ChromeTrace, DropsAtCapacityKeepingOldest)
 {
     ChromeTraceWriter w(/*max_events=*/3);
     auto tr = w.track("p", "t");
-    for (int i = 0; i < 5; ++i)
-        w.addInstant(tr, "e" + std::to_string(i), sim::Time::us(i));
+    for (int i = 0; i < 5; ++i) {
+        // Appended, not "e" + std::string (-Wrestrict under GCC 12 -O3).
+        std::string name = "e";
+        name += std::to_string(i);
+        w.addInstant(tr, name, sim::Time::us(i));
+    }
     EXPECT_EQ(w.eventCount(), 3u);
     EXPECT_EQ(w.droppedEvents(), 2u);
     auto doc = JsonValue::parse(w.toJson());
@@ -475,6 +479,15 @@ TEST(BenchOptions, UnknownArgsAreKept)
     EXPECT_EQ(o.countArg("--hosts", 1), 4u);
     EXPECT_EQ(parseArgs({}, "longrun", {"--hosts"}).countArg("--hosts", 1),
               1u);
+}
+
+TEST(BenchOptions, UsageListsTheDeclaredFlags)
+{
+    const std::string with = BenchOptions::usage("longrun", {"--hosts"});
+    EXPECT_NE(with.find("  --hosts=<n>    a count >= 1 (longrun only)\n"),
+              std::string::npos);
+    EXPECT_EQ(BenchOptions::usage("fig07").find("--hosts"),
+              std::string::npos);
 }
 
 TEST(BenchOptions, EnvironmentFallback)
@@ -616,12 +629,14 @@ TEST(BenchOptionsDeathTest, RejectsUndeclaredFlags)
                 "fig08: unknown argument '--bogus-flag=1'.*usage: fig08");
     EXPECT_EXIT(parseArgs({"--hostz=3"}, "longrun", {"--hosts"}),
                 ::testing::ExitedWithCode(2),
-                "longrun: unknown argument '--hostz=3'.*usage: longrun");
+                "longrun: unknown argument '--hostz=3'.*usage: longrun"
+                ".*--hosts=<n>");
     // Declared flags take a value; bare or undeclared elsewhere they
     // are unknown.
     EXPECT_EXIT(parseArgs({"--hosts"}, "longrun", {"--hosts"}),
                 ::testing::ExitedWithCode(2),
-                "longrun: unknown argument '--hosts'.*usage: longrun");
+                "longrun: unknown argument '--hosts'.*usage: longrun"
+                ".*--hosts=<n>");
     EXPECT_EXIT(parseArgs({"--hosts=2"}, "fig07"),
                 ::testing::ExitedWithCode(2),
                 "fig07: unknown argument '--hosts=2'.*usage: fig07");
@@ -632,11 +647,13 @@ TEST(BenchOptionsDeathTest, RejectsNonNumericHosts)
     EXPECT_EXIT(parseArgs({"--hosts=abc"}, "longrun", {"--hosts"})
                     .countArg("--hosts", 1),
                 ::testing::ExitedWithCode(2),
-                "longrun: invalid --hosts value 'abc'.*usage: longrun");
+                "longrun: invalid --hosts value 'abc'.*usage: longrun"
+                ".*--hosts=<n>");
     EXPECT_EXIT(parseArgs({"--hosts=-1"}, "longrun", {"--hosts"})
                     .countArg("--hosts", 1),
                 ::testing::ExitedWithCode(2),
-                "longrun: invalid --hosts value '-1'.*usage: longrun");
+                "longrun: invalid --hosts value '-1'.*usage: longrun"
+                ".*--hosts=<n>");
 }
 
 TEST(BenchOptionsDeathTest, RejectsZeroHosts)
@@ -644,7 +661,8 @@ TEST(BenchOptionsDeathTest, RejectsZeroHosts)
     EXPECT_EXIT(parseArgs({"--hosts=0"}, "longrun", {"--hosts"})
                     .countArg("--hosts", 1),
                 ::testing::ExitedWithCode(2),
-                "longrun: invalid --hosts value '0'.*usage: longrun");
+                "longrun: invalid --hosts value '0'.*usage: longrun"
+                ".*--hosts=<n>");
 }
 
 TEST(BenchOptionsDeathTest, RejectsEmptyHosts)
@@ -652,7 +670,8 @@ TEST(BenchOptionsDeathTest, RejectsEmptyHosts)
     EXPECT_EXIT(parseArgs({"--hosts="}, "longrun", {"--hosts"})
                     .countArg("--hosts", 1),
                 ::testing::ExitedWithCode(2),
-                "longrun: invalid --hosts value ''.*usage: longrun");
+                "longrun: invalid --hosts value ''.*usage: longrun"
+                ".*--hosts=<n>");
 }
 
 // ---------------------------------------------------------------- PathTrace

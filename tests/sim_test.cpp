@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <iterator>
+#include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -673,25 +676,38 @@ struct ReferenceDigest
     }
 
     void
+    word(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte((v >> (8 * i)) & 0xff);
+    }
+
+    void
     event(Time when, std::uint64_t seq, const char *tag)
     {
-        auto u64 = [this](std::uint64_t v) {
-            for (int i = 0; i < 8; ++i)
-                byte((v >> (8 * i)) & 0xff);
-        };
-        u64(std::uint64_t(when.picos()));
-        u64(seq);
+        word(std::uint64_t(when.picos()));
+        word(seq);
         if (tag != nullptr)
             for (const char *p = tag; *p != '\0'; ++p)
                 byte(std::uint8_t(*p));
     }
 };
 
+/** Values where the word fold's zero-byte skip changes length. */
+const std::uint64_t kFoldEdges[] = {0,
+                                    1,
+                                    0xff,
+                                    0x100,
+                                    (std::uint64_t(1) << 56) - 1,
+                                    std::uint64_t(1) << 56,
+                                    (std::uint64_t(1) << 63) - 1,
+                                    std::uint64_t(Time::max().picos())};
+
 } // namespace
 
 TEST(EventQueue, DigestMatchesReferenceFnv1a)
 {
-    // Tags repeat (exercising the per-tag memo and its MRU slot),
+    // Tags repeat (exercising the per-tag memo and its cache line),
     // interleave, and include the empty tag; seq is assigned in
     // scheduling order, execution order is (when, seq).
     static const char *const kTags[] = {"wire.rx", "cpu", "", "wire.rx",
@@ -706,8 +722,71 @@ TEST(EventQueue, DigestMatchesReferenceFnv1a)
             eq.scheduleAt(when, []() {}, kTags[t]);
             ref.event(when, seq++, kTags[t]);
         }
+    // 400 events: seq crosses the 0xff/0x100 length edge on the way.
     eq.runAll();
     EXPECT_EQ(eq.orderDigest(), ref.d);
+
+    // Times at every length edge of the zero-byte skip, through the
+    // queue (the last two are both Time::max(): a FIFO tie).
+    EventQueue edges;
+    ReferenceDigest edges_ref;
+    seq = 1;
+    for (std::uint64_t w : kFoldEdges) {
+        const Time when = Time::ps(std::int64_t(w));
+        edges.scheduleAt(when, []() {}, "edge");
+        edges_ref.event(when, seq++, "edge");
+    }
+    edges.runAll();
+    EXPECT_EQ(edges.orderDigest(), edges_ref.d);
+
+    // The same edges as raw words (seq values no run reaches), each
+    // folded into a digest whose low byte the previous ones moved.
+    ReferenceDigest words;
+    std::uint64_t d = words.d;
+    for (std::uint64_t v : kFoldEdges) {
+        words.word(v);
+        d = EventQueue::fnvFoldWord(d, v);
+        EXPECT_EQ(d, words.d) << "word " << v;
+    }
+
+    // More distinct tags than the tag cache has lines: tags share
+    // lines, evict each other, and must still fold their own content.
+    std::vector<std::string> many;
+    for (int i = 0; i < 300; ++i)
+        many.push_back("tag." + std::to_string(i));
+    EventQueue crowded;
+    ReferenceDigest crowded_ref;
+    seq = 1;
+    for (int round = 0; round < 3; ++round)
+        for (const std::string &tag : many) {
+            crowded.scheduleAt(Time::us(round + 1), []() {}, tag.c_str());
+            crowded_ref.event(Time::us(round + 1), seq++, tag.c_str());
+        }
+    crowded.runAll();
+    EXPECT_EQ(crowded.orderDigest(), crowded_ref.d);
+}
+
+TEST(EventQueue, TieWordIsFifoBySeqAboveTheSlot)
+{
+    // A later seq outranks every slot, so ordering by the tie word is
+    // ordering by seq.
+    EXPECT_LT(EventQueue::tieWord(1, (1u << EventQueue::kSlotBits) - 1),
+              EventQueue::tieWord(2, 0));
+    EXPECT_EQ(EventQueue::tieWord(
+                  (std::uint64_t(1) << EventQueue::kSeqBits) - 1,
+                  (1u << EventQueue::kSlotBits) - 1),
+              ~std::uint64_t(0));
+}
+
+TEST(EventQueueDeathTest, TieWordPanicsBeyondEitherField)
+{
+    // The guard prepareEvent() runs, checked without 2^24 live slots
+    // or 2^40 scheduled events.
+    EXPECT_DEATH(EventQueue::tieWord(std::uint64_t(1) << EventQueue::kSeqBits,
+                                     0),
+                 "key overflow");
+    EXPECT_DEATH(EventQueue::tieWord(1, 1u << EventQueue::kSlotBits),
+                 "key overflow");
 }
 
 TEST(EventQueue, DigestHashesTagContentNotPointer)
@@ -724,6 +803,191 @@ TEST(EventQueue, DigestHashesTagContentNotPointer)
         return eq.orderDigest();
     };
     EXPECT_EQ(run(tag_a), run(tag_b));
+}
+
+// ---------------------------------------------------------------------------
+// The event core against a reference model: the live events in a map
+// sorted by (when, seq).
+
+namespace {
+
+/**
+ * Drives an EventQueue and its reference model side by side. seq is
+ * counted the way the queue assigns it, one per scheduleAt() from 1.
+ * Each event checks, when it runs, that it is the model's least
+ * (when, seq) entry, folds itself into a ReferenceDigest, and may
+ * reschedule itself a few times.
+ */
+struct ModelHarness
+{
+    using Key = std::pair<Time, std::uint64_t>;
+    struct Live
+    {
+        const char *tag;
+        EventHandle handle;
+        Time period;          ///< reschedule this far ahead when it runs
+        unsigned repeats;     ///< reschedules left
+    };
+
+    EventQueue eq;
+    ReferenceDigest ref;
+    std::map<Key, Live> live;
+    std::uint64_t next_seq = 1;
+    std::uint64_t fired = 0;
+    std::uint64_t out_of_order = 0;
+    EventHandle last_fired;    ///< a stale handle once its event ran
+
+    void
+    schedule(Time when, const char *tag, Time period, unsigned repeats)
+    {
+        const std::uint64_t seq = next_seq++;
+        EventHandle h = eq.scheduleAt(
+            when, [this, seq]() { fire(seq); }, tag);
+        live.emplace(Key{when, seq}, Live{tag, h, period, repeats});
+    }
+
+    void
+    fire(std::uint64_t seq)
+    {
+        ++fired;
+        if (live.empty() || live.begin()->first != Key{eq.now(), seq}) {
+            ++out_of_order;
+            return;
+        }
+        const Live ev = live.begin()->second;
+        live.erase(live.begin());
+        ref.event(eq.now(), seq, ev.tag);
+        last_fired = ev.handle;
+        if (ev.repeats > 0)
+            schedule(eq.now() + ev.period, ev.tag, ev.period,
+                     ev.repeats - 1);
+    }
+
+    /** snapshotPending() must list exactly the model's live events. */
+    void
+    checkSnapshot() const
+    {
+        std::vector<EventQueue::PendingEvent> snap;
+        eq.snapshotPending(snap);
+        std::sort(snap.begin(), snap.end(),
+                  [](const EventQueue::PendingEvent &a,
+                     const EventQueue::PendingEvent &b) {
+                      return Key{a.when, a.seq} < Key{b.when, b.seq};
+                  });
+        ASSERT_EQ(snap.size(), live.size());
+        std::size_t i = 0;
+        for (const auto &[key, ev] : live) {
+            EXPECT_EQ(snap[i].when, key.first);
+            EXPECT_EQ(snap[i].seq, key.second);
+            EXPECT_EQ(snap[i].tag, ev.tag);
+            ++i;
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, AgreesWithSortedReferenceModel)
+{
+    static const char *const kTags[] = {"wire.burst", "cpu.done", "",
+                                        "nic.itr"};
+    // Mostly short, repeated delays, so equal-time ties are common.
+    static const Time kDelays[] = {Time(), Time::ns(1), Time::ns(1),
+                                   Time::ns(2), Time::ns(5), Time::ns(40)};
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        SCOPED_TRACE(seed);
+        ModelHarness m;
+        Random rng(seed);
+        auto pick = [&rng](std::uint64_t lo, std::uint64_t hi) {
+            return rng.uniformInt(lo, hi);
+        };
+        auto scheduleSome = [&](std::uint64_t n) {
+            for (std::uint64_t i = 0; i < n; ++i) {
+                const Time delay = pick(0, 3) == 0
+                    ? Time::ps(std::int64_t(pick(0, 100000)))
+                    : kDelays[pick(0, 5)];
+                const bool periodic = pick(0, 3) == 0;
+                m.schedule(m.eq.now() + delay, kTags[pick(0, 3)],
+                           kDelays[pick(1, 5)],
+                           periodic ? unsigned(pick(1, 8)) : 0);
+            }
+        };
+        auto cancelSome = [&](std::uint64_t n) {
+            for (std::uint64_t i = 0; i < n && !m.live.empty(); ++i) {
+                auto it = m.live.begin();
+                std::advance(it, pick(0, m.live.size() - 1));
+                m.eq.cancel(it->second.handle);
+                m.live.erase(it);
+            }
+            if (pick(0, 3) == 0)
+                m.eq.cancel(m.last_fired);    // stale: must be a no-op
+        };
+        auto runSome = [&](std::uint64_t max_events, std::int64_t max_ps) {
+            if (pick(0, 1) == 0) {
+                m.eq.runAll(pick(1, max_events));
+            } else {
+                const Time deadline =
+                    m.eq.now() + Time::ps(std::int64_t(pick(0, max_ps)));
+                m.eq.runUntil(deadline);
+                if (!m.live.empty()) {
+                    EXPECT_GT(m.live.begin()->first.first, deadline);
+                }
+            }
+            ASSERT_EQ(m.eq.liveEvents(), m.live.size());
+        };
+
+        // Grow from one pending event to 4096 (the step bounds only
+        // keep a broken queue from hanging the test)...
+        m.schedule(Time::ns(1), "first", Time(), 0);
+        for (unsigned step = 0; m.live.size() < 4096; ++step) {
+            ASSERT_LT(step, 1000u);
+            scheduleSome(pick(32, 96));
+            cancelSome(pick(0, 4));
+            runSome(8, 500);
+        }
+        m.checkSnapshot();
+
+        // ...warp midway: every event due before the landing point
+        // moves with the clock, the rest keep their absolute time or
+        // move with it at random...
+        std::vector<EventQueue::PendingEvent> snap;
+        m.eq.snapshotPending(snap);
+        const Time delta = Time::ns(50);
+        const Time landing = m.eq.now() + delta;
+        std::vector<std::uint32_t> shift;
+        std::map<ModelHarness::Key, ModelHarness::Live> moved;
+        for (const EventQueue::PendingEvent &p : snap) {
+            if (p.when >= landing && pick(0, 1) == 0)
+                continue;
+            shift.push_back(p.key_index);
+            auto it = m.live.find({p.when, p.seq});
+            ASSERT_NE(it, m.live.end());
+            moved.emplace(ModelHarness::Key{p.when + delta, p.seq},
+                          it->second);
+            m.live.erase(it);
+        }
+        m.live.merge(moved);
+        m.eq.fluidWarp(delta, shift);
+        EXPECT_EQ(m.eq.now(), landing);
+        m.checkSnapshot();
+
+        // ...and drain back down to one, then none.
+        for (unsigned step = 0; m.live.size() > 1; ++step) {
+            ASSERT_LT(step, 100000u);
+            scheduleSome(pick(0, 4));
+            cancelSome(pick(0, 2));
+            runSome(256, 50000);
+            if (step % 16 == 0)
+                m.checkSnapshot();
+        }
+        m.eq.runAll();
+
+        EXPECT_EQ(m.out_of_order, 0u);
+        EXPECT_TRUE(m.live.empty());
+        EXPECT_EQ(m.eq.liveEvents(), 0u);
+        EXPECT_EQ(m.eq.executed(), m.fired);
+        EXPECT_EQ(m.eq.orderDigest(), m.ref.d);
+    }
 }
 
 TEST(RingBuf, FifoAcrossWraparound)
