@@ -510,9 +510,12 @@ pingLegacy(sim::Time sim_t, std::uint64_t *events)
     return wire.delivered();
 }
 
-/** Same topology across two islands; @p workers = engine threads. */
+/** Same topology across two islands; @p workers = engine threads.
+ *  With @p warm_allocs, the first tenth of @p sim_t is a warm-up and
+ *  the heap allocations of the rest are stored there. */
 std::uint64_t
-pingSharded(sim::Time sim_t, unsigned workers, std::uint64_t *events)
+pingSharded(sim::Time sim_t, unsigned workers, std::uint64_t *events,
+            std::uint64_t *warm_allocs = nullptr)
 {
     sim::EventQueue eq_a, eq_b;
     sim::ShardEngine engine(workers);
@@ -524,7 +527,14 @@ pingSharded(sim::Time sim_t, unsigned workers, std::uint64_t *events)
     a.pong = b.pong = pingPacket();
     wire.connect(a, b);
     wire.send(a, a.pong);
-    engine.runUntil(sim_t);
+    if (warm_allocs != nullptr) {
+        engine.runUntil(sim::Time::ps(sim_t.picos() / 10));
+        const std::uint64_t before = heapAllocs();
+        engine.runUntil(sim_t);
+        *warm_allocs = heapAllocs() - before;
+    } else {
+        engine.runUntil(sim_t);
+    }
     if (events != nullptr)
         *events = engine.executedEvents();
     return wire.delivered();
@@ -731,7 +741,10 @@ perfPacketHop(core::FigReport &fr, std::uint64_t batches)
  * divided by crossings — must stay under a generous ceiling, and the
  * sharded run must deliver the exact crossing count of the legacy one
  * (same simulated schedule, per DESIGN.md §13). Bounds are loose
- * because CI hosts jitter; the archived metrics carry the trend.
+ * because CI hosts jitter; the archived metrics carry the trend. Once
+ * warm, crossings must not touch the heap: the channel recycles its
+ * nodes and the engine keeps its component grouping, so any
+ * allocation there is a hard failure, like packet_hop.heap_allocs.
  */
 bool
 perfCrossShardPing(core::FigReport &fr)
@@ -744,7 +757,9 @@ perfCrossShardPing(core::FigReport &fr)
     double legacy_s = secondsSince(t0);
 
     t0 = std::chrono::steady_clock::now();
-    std::uint64_t shard_msgs = pingSharded(sim_t, 1, &shard_events);
+    std::uint64_t warm_allocs = 0;
+    std::uint64_t shard_msgs =
+        pingSharded(sim_t, 1, &shard_events, &warm_allocs);
     double shard_s = secondsSince(t0);
 
     fr.addPerf("xshard-ping", shard_events, shard_s);
@@ -755,6 +770,7 @@ perfCrossShardPing(core::FigReport &fr)
     fr.report().addMetric("xshard_ping.sharded_host_s", shard_s);
     fr.report().addMetric("xshard_ping.sync_overhead_us_per_msg",
                           overhead_us);
+    fr.report().addMetric("xshard_ping.heap_allocs", double(warm_allocs));
 
     if (shard_msgs != legacy_msgs) {
         std::fprintf(stderr,
@@ -763,6 +779,14 @@ perfCrossShardPing(core::FigReport &fr)
                      "the sharded wire changed the schedule\n",
                      static_cast<unsigned long long>(shard_msgs),
                      static_cast<unsigned long long>(legacy_msgs));
+        return false;
+    }
+    if (warm_allocs != 0) {
+        std::fprintf(stderr,
+                     "perf-smoke: FAIL: %llu heap allocation(s) on the "
+                     "warm cross-shard ping; channel storage and engine "
+                     "bookkeeping must be recycled\n",
+                     static_cast<unsigned long long>(warm_allocs));
         return false;
     }
     // ~40k crossings over 200 simulated ms: the sync bill per message
@@ -778,7 +802,7 @@ perfCrossShardPing(core::FigReport &fr)
     }
     std::printf("perf-smoke: cross-shard ping: %llu crossings, sync "
                 "overhead %.3f us/message (single-queue baseline "
-                "%.3f us/message)\n",
+                "%.3f us/message), 0 heap allocations once warm\n",
                 static_cast<unsigned long long>(shard_msgs),
                 overhead_us, legacy_s * 1e6 / msgs);
     return true;

@@ -1,5 +1,7 @@
 #include "core/experiment.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 
@@ -21,6 +23,17 @@ secondsSince(std::chrono::steady_clock::time_point t0)
                // simlint:allow(no-wallclock): host-side timing only
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** The process's resident-set high-water mark in MB (Linux reports
+ *  ru_maxrss in KiB). Host-side, like the wall time. */
+double
+peakRssMb()
+{
+    rusage ru{};
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return 0.0;
+    return double(ru.ru_maxrss) / 1024.0;
 }
 
 } // namespace
@@ -208,6 +221,7 @@ FigReport::writePerfSidecar(const std::string &path) const
         w.kv("events_per_packet",
              double(total_events) / double(total_packets));
     }
+    w.kv("peak_rss_mb", peakRssMb());
     w.endObject();
     w.endObject();
 

@@ -27,12 +27,11 @@ Wire::Wire(sim::EventQueue &eq_a, sim::EventQueue &eq_b,
     if (params_.propagation <= sim::Time())
         sim::fatal("wire: sharded wire needs positive propagation "
                    "(it is the engine lookahead)");
-    // Capacity 2x the TX drop cap: the drop bound caps un-started
-    // frames, and started-but-undelivered ones trail by only one
-    // serialization + propagation, so push() never spins in practice.
+    // The channel grows with its occupancy, which the TX drop bound
+    // caps: at most kTxQueueCap un-started frames, plus the started
+    // ones still within one serialization + propagation of delivery.
     for (unsigned d = 0; d < 2; ++d) {
-        dirs_[d].chan = std::make_unique<sim::ShardChannel<ShardMsg>>(
-            2 * kTxQueueCap);
+        dirs_[d].chan = std::make_unique<sim::ShardChannel<ShardMsg>>();
         dirs_[d].ref = DirRef{this, d};
         dirs_[d].chan->onDeliver(&Wire::deliverShard, &dirs_[d].ref);
     }
@@ -69,7 +68,6 @@ Wire::fluidVisit(sim::FluidVisitor &v)
         for (std::size_t i = 0; i < d.fl.size(); ++i) {
             InFlight &f = d.fl[i];
             fluidVisitPacket(v, "wire.fl_pkt", f.pkt);
-            v.time("wire.fl_start", f.start);
             v.time("wire.fl_deliver", f.deliver_at);
         }
         v.inv("wire.starts", d.starts.size());
@@ -139,24 +137,42 @@ Wire::sendAt(WireEndpoint &from, const Packet &pkt, sim::Time release)
             sim::panic("wire: sendAt in exact mode");
         return send(from, pkt);
     }
-    if (sharded_)
-        return sendShard(dir, pkt, release);
+    sim::Time due;
+    if (!admit(dir, pkt, release, &due))
+        return false;
+    if (sharded_) {
+        pushShard(dir, pkt, due);
+        return true;
+    }
+    Direction &d = dirs_[dir];
+    // RingBuf grows only to the burst high-water mark at warm-up;
+    // steady state is a masked store (the bench operator-new gate
+    // enforces zero allocs at runtime; this makes the waiver explicit).
+    // simlint:allow(hot-path-alloc): RingBuf warm-up growth only
+    d.fl.push_back(InFlight{pkt, due});
+    if (!d.drain_armed) {
+        d.drain_armed = true;
+        senderEq(dir).scheduleAt(due, [this, dir]() { drain(dir); },
+                                 "wire.burst");
+    }
+    return true;
+}
+
+// simlint: hot
+bool
+Wire::admit(unsigned dir, const Packet &pkt, sim::Time release,
+            sim::Time *due)
+{
     Direction &d = dirs_[dir];
     offered_[dir].inc();
 
     // TX-queue occupancy as of `release`: accepted frames whose
-    // serialization has not started by then. Starts are monotone, so
-    // the un-started suffix of the in-flight ring is found by binary
-    // search (frames already delivered/popped all started earlier).
-    std::size_t lo = 0, hi = d.fl.size();
-    while (lo < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (d.fl[mid].start > release)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    if (d.fl.size() - lo >= kTxQueueCap) {
+    // serialization has not started by then. Releases are monotone per
+    // direction, so start instants at or before `release` can never
+    // count against a later check either — prune them.
+    while (!d.starts.empty() && d.starts.front() <= release)
+        d.starts.pop_front();
+    if (d.starts.size() >= kTxQueueCap) {
         dropped_[dir].inc();
         return false;
     }
@@ -170,50 +186,9 @@ Wire::sendAt(WireEndpoint &from, const Packet &pkt, sim::Time release)
     if (pt_side_[dir])
         pt_side_[dir]->record(pt_comp_side_[dir], obs::PathStage::WireTx,
                               pkt.trace_id, start);
-    // RingBuf grows only to the burst high-water mark at warm-up;
-    // steady state is a masked store (the bench operator-new gate
-    // enforces zero allocs at runtime; this makes the waiver explicit).
-    // simlint:allow(hot-path-alloc): RingBuf warm-up growth only
-    d.fl.push_back(InFlight{pkt, start, d.line_free_at
-                                            + params_.propagation});
-    if (!d.drain_armed) {
-        d.drain_armed = true;
-        senderEq(dir).scheduleAt(d.fl.back().deliver_at,
-                                 [this, dir]() { drain(dir); },
-                                 "wire.burst");
-    }
-    return true;
-}
-
-// simlint: hot
-bool
-Wire::sendShard(unsigned dir, const Packet &pkt, sim::Time release)
-{
-    Direction &d = dirs_[dir];
-    offered_[dir].inc();
-
-    // Same analytic TX drop bound as the legacy thin path, kept on the
-    // sender island alone: the start-instant ring holds frames that
-    // may not have begun serializing. Releases are monotone per
-    // direction, so entries at or before `release` have started and
-    // can never count against a later occupancy check — prune them.
-    while (!d.starts.empty() && d.starts.front() <= release)
-        d.starts.pop_front();
-    if (d.starts.size() >= kTxQueueCap) {
-        dropped_[dir].inc();
-        return false;
-    }
-
-    sim::Time start = std::max(d.line_free_at, release);
-    sim::Time ser =
-        sim::Time::transfer(double(pkt.wireBytes()) * 8.0, params_.line_bps);
-    d.line_free_at = start + ser;
-    if (pt_side_[dir])
-        pt_side_[dir]->record(pt_comp_side_[dir], obs::PathStage::WireTx,
-                              pkt.trace_id, start);
     // simlint:allow(hot-path-alloc): RingBuf warm-up growth only
     d.starts.push_back(start);
-    pushShard(dir, pkt, d.line_free_at + params_.propagation);
+    *due = d.line_free_at + params_.propagation;
     return true;
 }
 
@@ -303,37 +278,6 @@ Wire::drain(unsigned dir)
     } else {
         d.drain_armed = false;
     }
-}
-
-std::size_t
-Wire::queued(unsigned dir) const
-{
-    const Direction &d = dirs_[dir];
-    if (!thin_)
-        return d.q.size();
-    sim::Time now = senderEq(dir).now();
-    if (sharded_) {
-        // Un-pruned start instants still in the future.
-        std::size_t lo = 0, hi = d.starts.size();
-        while (lo < hi) {
-            std::size_t mid = (lo + hi) / 2;
-            if (d.starts[mid] > now)
-                hi = mid;
-            else
-                lo = mid + 1;
-        }
-        return d.starts.size() - lo;
-    }
-    // Frames not yet begun serializing as of now.
-    std::size_t lo = 0, hi = d.fl.size();
-    while (lo < hi) {
-        std::size_t mid = (lo + hi) / 2;
-        if (d.fl[mid].start > now)
-            hi = mid;
-        else
-            lo = mid + 1;
-    }
-    return d.fl.size() - lo;
 }
 
 // simlint: hot

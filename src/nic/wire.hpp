@@ -23,8 +23,9 @@
  *
  * The wire is also the simulator's only legal shard boundary
  * (DESIGN.md §13). Constructed in sharded form, its two ends live on
- * different islands: the sender half keeps the serializer state
- * (line_free_at, the un-started ring for the TX drop bound) and pushes
+ * different islands: the sender half admits frames exactly as the
+ * single-island thin form does (line_free_at, and a ring of un-started
+ * frames' start instants for the TX drop bound) and pushes
  * (due, frame) messages into a sim::ShardChannel; the receiving
  * island's engine delivers each frame at exactly its due instant — the
  * same analytic timestamps thinning already computes, so the channel
@@ -105,9 +106,6 @@ class Wire
      */
     bool sendAt(WireEndpoint &from, const Packet &pkt, sim::Time release);
 
-    /** Instantaneous busy fraction proxy: queued frames, direction 0/1. */
-    std::size_t queued(unsigned dir) const;
-
     std::uint64_t
     delivered() const
     {
@@ -165,7 +163,6 @@ class Wire
     struct InFlight
     {
         Packet pkt;
-        sim::Time start;         ///< serialization begins
         sim::Time deliver_at;    ///< receiver sees the frame
     };
 
@@ -187,14 +184,15 @@ class Wire
         // Exact mode: frames waiting to serialize.
         sim::RingBuf<Packet> q;
         bool busy = false;
-        // Thin mode: accepted frames not yet delivered.
-        sim::RingBuf<InFlight> fl;
-        sim::Time line_free_at;    ///< when the serializer goes idle
-        bool drain_armed = false;
-        // Sharded mode: sender-side start instants of frames that may
-        // not have begun serializing (the TX-queue drop bound), plus
-        // the channel toward the receiving island.
+        // Thin mode: start instants of accepted frames that may not
+        // have begun serializing (the TX-queue drop bound, kept on the
+        // sender side in both forms) and the serializer horizon.
         sim::RingBuf<sim::Time> starts;
+        sim::Time line_free_at;    ///< when the serializer goes idle
+        // Single island: accepted frames not yet delivered.
+        sim::RingBuf<InFlight> fl;
+        bool drain_armed = false;
+        // Sharded: the channel toward the receiving island.
         std::unique_ptr<sim::ShardChannel<ShardMsg>> chan;
         DirRef ref;
         /** Receiver-side stream -> ledger flow id: each cross-island
@@ -206,7 +204,11 @@ class Wire
     void startNext(unsigned dir);
     void drain(unsigned dir);
     unsigned dirOf(WireEndpoint &from) const;
-    bool sendShard(unsigned dir, const Packet &pkt, sim::Time release);
+    /** Thin admission: count the offer, apply the TX drop bound as of
+     *  @p release and, if accepted, book the serializer and set
+     *  @p due to the delivery instant. */
+    bool admit(unsigned dir, const Packet &pkt, sim::Time release,
+               sim::Time *due);
     void pushShard(unsigned dir, const Packet &pkt, sim::Time due);
     static void deliverShard(void *ctx, sim::Time due,
                              const ShardMsg &msg);

@@ -45,6 +45,7 @@ ShardEngine::addIsland(EventQueue &eq)
     isl.eq = &eq;
     isl.promise = std::make_unique<Promise>();
     islands_.push_back(std::move(isl));
+    comps_.clear();
     return unsigned(islands_.size() - 1);
 }
 
@@ -64,6 +65,7 @@ ShardEngine::connect(ShardEdge &edge, unsigned from, unsigned to,
     e.from = from;
     e.lookahead_ps = lookahead.picos();
     islands_[to].in.push_back(e);
+    comps_.clear();
 }
 
 Time
@@ -253,22 +255,11 @@ ShardEngine::advanceIsland(Island &isl, Time deadline, bool *moved)
     return n;
 }
 
-std::uint64_t
-ShardEngine::runUntil(Time deadline)
+const std::vector<std::vector<unsigned>> &
+ShardEngine::components()
 {
-    if (islands_.empty())
-        return 0;
-    const std::uint64_t before = executedEvents();
-
-    for (Island &isl : islands_) {
-        isl.done = false;
-        // Re-arm: the island clock (== the previous deadline) is a
-        // safe promise for everything it may still send.
-        const std::int64_t now = isl.eq->now().picos();
-        if (now > isl.promise->v.load(std::memory_order_relaxed))
-            isl.promise->v.store(now, std::memory_order_relaxed);
-    }
-
+    if (!comps_.empty())
+        return comps_;
     // Component structure: islands connected by edges must exchange
     // promises every lookahead round, so a component is the natural
     // scheduling unit — splitting one across workers turns each creep
@@ -277,6 +268,7 @@ ShardEngine::runUntil(Time deadline)
     // evicts each pair's working set between rounds. Components are
     // keyed by their least island index; the grouping affects wall
     // clock only — the schedule depends on simulated times alone.
+    // The topology is fixed once runs start, so this is computed once.
     std::vector<unsigned> comp(islands_.size());
     for (std::size_t i = 0; i < comp.size(); ++i)
         comp[i] = unsigned(i);
@@ -295,18 +287,35 @@ ShardEngine::runUntil(Time deadline)
                 comp[std::max(a, b)] = std::min(a, b);
         }
     }
-    std::vector<std::vector<unsigned>> comps;    // grouped islands
-    {
-        std::vector<int> slot(islands_.size(), -1);
-        for (std::size_t i = 0; i < islands_.size(); ++i) {
-            unsigned r = root(unsigned(i));
-            if (slot[r] < 0) {
-                slot[r] = int(comps.size());
-                comps.emplace_back();
-            }
-            comps[std::size_t(slot[r])].push_back(unsigned(i));
+    std::vector<int> slot(islands_.size(), -1);
+    for (std::size_t i = 0; i < islands_.size(); ++i) {
+        unsigned r = root(unsigned(i));
+        if (slot[r] < 0) {
+            slot[r] = int(comps_.size());
+            comps_.emplace_back();
         }
+        comps_[std::size_t(slot[r])].push_back(unsigned(i));
     }
+    return comps_;
+}
+
+std::uint64_t
+ShardEngine::runUntil(Time deadline)
+{
+    if (islands_.empty())
+        return 0;
+    const std::uint64_t before = executedEvents();
+
+    for (Island &isl : islands_) {
+        isl.done = false;
+        // Re-arm: the island clock (== the previous deadline) is a
+        // safe promise for everything it may still send.
+        const std::int64_t now = isl.eq->now().picos();
+        if (now > isl.promise->v.load(std::memory_order_relaxed))
+            isl.promise->v.store(now, std::memory_order_relaxed);
+    }
+
+    const std::vector<std::vector<unsigned>> &comps = components();
 
     const unsigned w = std::min(workers_, islandCount());
     if (w <= 1 || forcesSequential()) {

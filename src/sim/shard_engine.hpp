@@ -88,13 +88,24 @@ class ShardEdge
 };
 
 /**
- * Bounded SPSC channel of (due, payload) messages with monotone
+ * Unbounded SPSC channel of (due, payload) messages with monotone
  * non-decreasing due times (a wire direction is a FIFO server, so its
  * delivery instants are monotone by construction — which is what makes
  * headDue() the channel's minimum).
  *
- * push() spins when the ring is full; the consumer always drains
- * (deliveries never wait on the producer), so the wait is bounded.
+ * A linked queue after Vyukov's unbounded SPSC design. The consumer
+ * owns tail_, the last delivered node, kept as a dummy whose `next` is
+ * the head message. The producer owns head_ (the newest node) and
+ * recycles the nodes the consumer has passed, [first_, tail_), before
+ * it allocates. Storage is thus the occupancy high-water mark plus one
+ * node, and push() never waits: a one-thread run cannot block on
+ * itself. The channel bounds nothing; the sender does (nic::Wire's TX
+ * drop bound, DESIGN.md §13).
+ *
+ * Every `next` link is written by the producer alone: release-stored
+ * when a node is appended, acquire-loaded by the consumer's probe. The
+ * consumer release-stores tail_ after the sink has read the payload,
+ * and the producer acquire-loads it before reusing a passed node.
  */
 template <typename T>
 class ShardChannel final : public ShardEdge
@@ -102,10 +113,31 @@ class ShardChannel final : public ShardEdge
   public:
     using Sink = void (*)(void *ctx, Time due, const T &payload);
 
-    explicit ShardChannel(std::size_t capacity = 8192)
-        : buf_(roundPow2(capacity)), mask_(buf_.size() - 1)
+    struct Entry
     {
+        std::int64_t due_ps = 0;
+        T payload{};
+    };
+
+    ShardChannel()
+    {
+        Node *dummy = new Node;
+        tail_.store(dummy, std::memory_order_relaxed);
+        head_ = first_ = tail_copy_ = dummy;
     }
+
+    ~ShardChannel() override
+    {
+        // Every node, cached or pending, is linked from first_.
+        for (Node *n = first_; n != nullptr;) {
+            Node *next = n->next.load(std::memory_order_relaxed);
+            delete n;
+            n = next;
+        }
+    }
+
+    ShardChannel(const ShardChannel &) = delete;
+    ShardChannel &operator=(const ShardChannel &) = delete;
 
     /** Bind the delivery callback (the receiving wire half). */
     void
@@ -115,50 +147,36 @@ class ShardChannel final : public ShardEdge
         ctx_ = ctx;
     }
 
-    /** Producer side: enqueue a message due at @p due. */
+    /** Producer side: enqueue a message due at @p due. Never waits. */
     void
     push(Time due, const T &payload)
     {
-        const std::uint64_t t = tail_.load(std::memory_order_relaxed);
-        while (t - head_.load(std::memory_order_acquire) >= buf_.size()) {
-            // Receiver is behind; it drains unconditionally, so spin.
-        }
-        Entry &e = buf_[std::size_t(t) & mask_];
-        e.due_ps = due.picos();
-        e.payload = payload;
-        tail_.store(t + 1, std::memory_order_release);
+        Node *n = takeNode();
+        n->next.store(nullptr, std::memory_order_relaxed);
+        n->e.due_ps = due.picos();
+        n->e.payload = payload;
+        head_->next.store(n, std::memory_order_release);
+        head_ = n;
     }
 
     Time
     headDue() const override
     {
-        const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        if (h == tail_.load(std::memory_order_acquire))
-            return Time::max();
-        return Time::ps(buf_[std::size_t(h) & mask_].due_ps);
+        const Node *n = tail_.load(std::memory_order_relaxed)
+                            ->next.load(std::memory_order_acquire);
+        return n != nullptr ? Time::ps(n->e.due_ps) : Time::max();
     }
 
     void
     deliverHead() override
     {
-        const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        const Entry &e = buf_[std::size_t(h) & mask_];
-        sink_(ctx_, Time::ps(e.due_ps), e.payload);
-        head_.store(h + 1, std::memory_order_release);
+        Node *n = tail_.load(std::memory_order_relaxed)
+                      ->next.load(std::memory_order_acquire);
+        sink_(ctx_, Time::ps(n->e.due_ps), n->e.payload);
+        // n becomes the dummy; its predecessor goes back to the
+        // producer's cache.
+        tail_.store(n, std::memory_order_release);
     }
-
-    bool
-    pending() const
-    {
-        return head_.load(std::memory_order_relaxed)
-            != tail_.load(std::memory_order_acquire);
-    }
-
-    struct Entry
-    {
-        std::int64_t due_ps = 0;
-        T payload{};
-    };
 
     /** @name Quiescent-barrier access for the fluid warp.
      *
@@ -166,38 +184,74 @@ class ShardChannel final : public ShardEdge
      * WarpCoordinator barrier): the in-flight entries are then plain
      * data, visited as fluid slots (due times are linear in the warp
      * delta, payloads are invariants) and shifted in lockstep with the
-     * island clocks. @{ */
+     * island clocks. Both walk the pending links from the head, so
+     * they cost O(occupancy). @{ */
     std::size_t
     pendingCount() const
     {
-        return std::size_t(tail_.load(std::memory_order_acquire)
-                           - head_.load(std::memory_order_acquire));
+        std::size_t k = 0;
+        for (const Node *n = head(); n != nullptr;
+             n = n->next.load(std::memory_order_acquire)) {
+            ++k;
+        }
+        return k;
     }
 
     Entry &
     pendingEntry(std::size_t i)
     {
-        const std::uint64_t h = head_.load(std::memory_order_relaxed);
-        return buf_[std::size_t(h + i) & mask_];
+        Node *n = head();
+        for (; i > 0; --i)
+            n = n->next.load(std::memory_order_acquire);
+        return n->e;
     }
+
+    /** Nodes allocated so far, the dummy included: the channel's whole
+     *  storage, since nodes are recycled and never freed before the
+     *  channel is. */
+    std::size_t nodes() const { return nodes_; }
     /** @} */
 
   private:
-  static std::size_t
-    roundPow2(std::size_t n)
+    struct Node
     {
-        std::size_t p = 1;
-        while (p < n)
-            p <<= 1;
-        return p;
+        std::atomic<Node *> next{nullptr};
+        Entry e;
+    };
+
+    Node *
+    head() const
+    {
+        return tail_.load(std::memory_order_acquire)
+            ->next.load(std::memory_order_acquire);
     }
 
-    std::vector<Entry> buf_;
-    std::size_t mask_;
-    std::atomic<std::uint64_t> head_{0};
-    std::atomic<std::uint64_t> tail_{0};
+    /** A node the consumer has passed, else a new one. */
+    Node *
+    takeNode()
+    {
+        if (first_ == tail_copy_) {
+            tail_copy_ = tail_.load(std::memory_order_acquire);
+            if (first_ == tail_copy_) {
+                ++nodes_;
+                return new Node;
+            }
+        }
+        Node *n = first_;
+        first_ = n->next.load(std::memory_order_relaxed);
+        return n;
+    }
+
+    // Consumer side, beside the vtable pointer every probe reads.
+    std::atomic<Node *> tail_;
     Sink sink_ = nullptr;
     void *ctx_ = nullptr;
+    // Producer side on its own cache line: every push writes head_,
+    // and a worker probing the channel must not miss on that store.
+    alignas(64) Node *head_;
+    Node *first_;        ///< oldest passed node (the recycling cache)
+    Node *tail_copy_;    ///< producer's last view of tail_
+    std::size_t nodes_ = 1;
 };
 
 class ShardEngine
@@ -323,7 +377,12 @@ class ShardEngine
      *  the run degrades to scheduler latency. */
     std::uint64_t advanceIsland(Island &isl, Time deadline, bool *moved);
 
+    /** Islands grouped by connected component, keyed by least index;
+     *  cached until the next addIsland()/connect(). */
+    const std::vector<std::vector<unsigned>> &components();
+
     std::vector<Island> islands_;
+    std::vector<std::vector<unsigned>> comps_;
     unsigned workers_;
 };
 

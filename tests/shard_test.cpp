@@ -10,14 +10,18 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/determinism.hpp"
 #include "core/testbed.hpp"
 #include "nic/wire.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/fluid.hpp"
 #include "sim/log.hpp"
 #include "sim/shard.hpp"
 #include "sim/shard_engine.hpp"
@@ -226,6 +230,323 @@ TEST(ShardEngine, ObserverForcesSequential)
     EXPECT_TRUE(engine.forcesSequential());
     eq_a.setObserver(nullptr);
     EXPECT_FALSE(engine.forcesSequential());
+}
+
+namespace {
+
+struct Stamper final : nic::WireEndpoint
+{
+    const sim::EventQueue *eq = nullptr;
+    std::vector<std::int64_t> at;
+
+    void
+    receive(const nic::Packet &) override
+    {
+        at.push_back(eq->now().picos());
+    }
+};
+
+struct OverflowRun
+{
+    std::vector<std::int64_t> at;
+    std::uint64_t dropped = 0;
+};
+
+/** Overflow the TX queue at t = 0, then offer one frame per µs while
+ *  the backlog drains. @p sharded puts the receiver on its own island,
+ *  so thousands of frames sit in the channel at once. */
+OverflowRun
+runOverflow(bool sharded)
+{
+    sim::EventQueue eq_a, eq_b;
+    sim::ShardEngine engine(1);
+    std::unique_ptr<nic::Wire> wire;
+    if (sharded) {
+        unsigned ia = engine.addIsland(eq_a);
+        unsigned ib = engine.addIsland(eq_b);
+        wire = std::make_unique<nic::Wire>(eq_a, eq_b, engine, ia, ib,
+                                           kWire);
+    } else {
+        wire = std::make_unique<nic::Wire>(eq_a, kWire);
+    }
+    Mute a;
+    Stamper b;
+    b.eq = sharded ? &eq_b : &eq_a;
+    wire->connect(a, b);
+    for (std::size_t i = 0; i < nic::Wire::kTxQueueCap + 50; ++i)
+        wire->send(a, makePacket(1));
+    for (unsigned k = 1; k <= 20; ++k) {
+        eq_a.scheduleAt(sim::Time::us(k), [&wire, &a]() {
+            wire->send(a, makePacket(1));
+        });
+    }
+    if (sharded)
+        engine.runUntil(sim::Time::ms(5));
+    else
+        eq_a.runUntil(sim::Time::ms(5));
+    EXPECT_EQ(wire->inFlight(), 0u);
+    return {b.at, wire->dropped()};
+}
+
+} // namespace
+
+TEST(ShardEngine, OverflowBurstMatchesTheSingleIslandWire)
+{
+    // Both thin forms admit through one TX drop bound, so the sharded
+    // wire drops the same frames and delivers the rest at the same
+    // instants; only the delivery vehicle differs.
+    OverflowRun one = runOverflow(false);
+    OverflowRun two = runOverflow(true);
+    EXPECT_GT(one.dropped, 0u);
+    EXPECT_EQ(one.dropped, two.dropped);
+    ASSERT_EQ(one.at.size(), nic::Wire::kTxQueueCap + 70 - one.dropped);
+    EXPECT_EQ(one.at, two.at);
+}
+
+// ---------------------------------------------------------------------
+// ShardChannel on its own: FIFO order, barrier-time access to recycled
+// storage, bursts that never wait, storage bounded by occupancy, and a
+// real two-thread producer/consumer run.
+// ---------------------------------------------------------------------
+
+namespace {
+
+struct Msg
+{
+    std::uint64_t seq = 0;
+};
+
+// simlint:allow(shard-channel): tests the channel itself, no island edge
+using Chan = sim::ShardChannel<Msg>;
+
+/** Records what a channel delivers, in order. */
+struct Drain
+{
+    std::vector<std::int64_t> dues;
+    std::vector<std::uint64_t> seqs;
+
+    static void
+    sink(void *ctx, sim::Time due, const Msg &m)
+    {
+        auto *d = static_cast<Drain *>(ctx);
+        d->dues.push_back(due.picos());
+        d->seqs.push_back(m.seq);
+    }
+};
+
+/** Deliver every visible message; returns how many. */
+std::size_t
+drainAll(Chan &ch)
+{
+    std::size_t n = 0;
+    for (; ch.headDue() != sim::Time::max(); ++n)
+        ch.deliverHead();
+    return n;
+}
+
+std::vector<std::uint64_t>
+iota(std::uint64_t first, std::uint64_t n)
+{
+    std::vector<std::uint64_t> v(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        v[i] = first + i;
+    return v;
+}
+
+/** The channel half of Wire::fluidVisit: occupancy is an invariant,
+ *  each pending due a time slot. */
+void
+visitChannel(sim::FluidVisitor &v, Chan &ch)
+{
+    const std::size_t n = ch.pendingCount();
+    v.inv("chan", n);
+    for (std::size_t i = 0; i < n; ++i)
+        v.i64("chan_due", ch.pendingEntry(i).due_ps);
+}
+
+} // namespace
+
+TEST(ShardChannelSpsc, DeliversInFifoOrderWithANonDecreasingHead)
+{
+    Chan ch;
+    Drain d;
+    ch.onDeliver(&Drain::sink, &d);
+    EXPECT_EQ(ch.headDue(), sim::Time::max());
+    // Ties included: a FIFO server can finish two frames at one instant.
+    const std::int64_t dues[] = {5, 7, 7, 12, 30, 30, 31, 40};
+    std::uint64_t pushed = 0;
+    auto push = [&ch, &dues, &pushed]() {
+        ch.push(sim::Time::ps(dues[pushed]), Msg{pushed});
+        ++pushed;
+    };
+    // Pushes interleave with deliveries, as they do across islands.
+    push();
+    push();
+    push();
+    sim::Time last = sim::Time();
+    while (ch.headDue() != sim::Time::max()) {
+        const sim::Time head = ch.headDue();
+        EXPECT_GE(head, last);
+        last = head;
+        ch.deliverHead();
+        if (pushed < 8)
+            push();
+    }
+    EXPECT_EQ(d.seqs, iota(0, 8));
+    EXPECT_EQ(d.dues, std::vector<std::int64_t>(dues, dues + 8));
+}
+
+TEST(ShardChannelSpsc, PendingEntriesAfterRecyclingTakeTheWarpShift)
+{
+    Chan ch;
+    Drain d;
+    ch.onDeliver(&Drain::sink, &d);
+    // Cycle the storage at depth 3 so every later push reuses a node
+    // the consumer has passed.
+    std::uint64_t seq = 0;
+    for (int round = 0; round < 100; ++round) {
+        for (int k = 0; k < 3; ++k)
+            ch.push(sim::Time::ps(round), Msg{seq++});
+        drainAll(ch);
+    }
+    const std::size_t nodes = ch.nodes();
+    EXPECT_EQ(nodes, 4u);    // three in flight plus the dummy
+
+    // A periodic population captured one period apart, as the warp
+    // probe does at two barriers.
+    constexpr std::int64_t kBase = 10'000, kPeriod = 1'000;
+    const std::uint64_t first = seq;
+    auto fill = [&ch, &seq](std::int64_t t0) {
+        for (std::int64_t k = 0; k < 3; ++k)
+            ch.push(sim::Time::ps(t0 + 100 * k), Msg{seq++});
+    };
+    fill(kBase);
+    ASSERT_EQ(ch.pendingCount(), 3u);
+    EXPECT_EQ(ch.pendingEntry(2).due_ps, kBase + 200);
+    EXPECT_EQ(ch.pendingEntry(2).payload.seq, first + 2);
+    sim::FluidVisitor older(sim::FluidVisitor::Pass::Capture);
+    visitChannel(older, ch);
+    drainAll(ch);
+    fill(kBase + kPeriod);
+    sim::FluidVisitor newer(sim::FluidVisitor::Pass::Capture);
+    visitChannel(newer, ch);
+    std::string why;
+    ASSERT_TRUE(newer.verifyAgainst(older, nullptr, &why)) << why;
+    EXPECT_EQ(ch.nodes(), nodes);
+
+    // Warp five periods: the apply walk shifts every pending due in
+    // place through pendingEntry(), and delivery sees the shift.
+    sim::FluidVisitor apply(sim::FluidVisitor::Pass::Apply);
+    apply.armApply(older, newer, 5);
+    visitChannel(apply, ch);
+    EXPECT_EQ(ch.headDue(), sim::Time::ps(kBase + 6 * kPeriod));
+    d = Drain();
+    EXPECT_EQ(drainAll(ch), 3u);
+    const std::int64_t t = kBase + 6 * kPeriod;
+    EXPECT_EQ(d.dues, (std::vector<std::int64_t>{t, t + 100, t + 200}));
+    EXPECT_EQ(d.seqs, iota(first + 3, 3));
+}
+
+TEST(ShardChannelSpsc, UndeliveredBurstNeverWaitsAndKeepsOrder)
+{
+    // No consumer runs during the burst. At --shards=1 the consumer is
+    // the producer's own thread, so a push that waited for room would
+    // never return.
+    constexpr std::uint64_t kBurst = 5'000;
+    Chan ch;
+    Drain d;
+    ch.onDeliver(&Drain::sink, &d);
+    for (std::uint64_t i = 0; i < kBurst; ++i)
+        ch.push(sim::Time::ps(std::int64_t(i / 4)), Msg{i});
+    EXPECT_EQ(ch.pendingCount(), kBurst);
+    EXPECT_EQ(ch.pendingEntry(kBurst - 1).payload.seq, kBurst - 1);
+    EXPECT_EQ(ch.nodes(), kBurst + 1);
+    EXPECT_EQ(drainAll(ch), kBurst);
+    EXPECT_EQ(d.seqs, iota(0, kBurst));
+    for (std::uint64_t i = 0; i < kBurst; ++i)
+        ASSERT_EQ(d.dues[i], std::int64_t(i / 4)) << "message " << i;
+    // A second burst of the same size reuses the first one's storage.
+    for (std::uint64_t i = 0; i < kBurst; ++i)
+        ch.push(sim::Time::ps(std::int64_t(kBurst)), Msg{kBurst + i});
+    EXPECT_EQ(drainAll(ch), kBurst);
+    EXPECT_EQ(ch.nodes(), kBurst + 1);
+}
+
+TEST(ShardChannelSpsc, StorageStaysBoundedAtLowDepth)
+{
+    struct Count
+    {
+        std::uint64_t next = 0;
+        bool in_order = true;
+
+        static void
+        sink(void *ctx, sim::Time, const Msg &m)
+        {
+            auto *c = static_cast<Count *>(ctx);
+            c->in_order = c->in_order && m.seq == c->next;
+            ++c->next;
+        }
+    } c;
+    Chan ch;
+    ch.onDeliver(&Count::sink, &c);
+    constexpr std::uint64_t kCycles = 1'000'000;
+    std::size_t depth = 0;
+    for (std::uint64_t i = 0; i < kCycles; ++i) {
+        ch.push(sim::Time::ps(std::int64_t(i)), Msg{i});
+        ++depth;
+        // Depth walks 1, 2, 3 and back to 0.
+        for (; depth > i % 3; --depth)
+            ch.deliverHead();
+    }
+    EXPECT_EQ(c.next, kCycles);
+    EXPECT_TRUE(c.in_order);
+    EXPECT_EQ(ch.nodes(), 4u);
+}
+
+TEST(ShardChannelSpsc, TwoThreadsKeepOrderAndDues)
+{
+    constexpr std::uint64_t kMsgs = 1'000'000;
+    struct Check
+    {
+        std::uint64_t next = 0;
+        std::int64_t last_due = 0;
+        bool ok = true;
+        std::atomic<std::uint64_t> delivered{0};
+
+        static void
+        sink(void *ctx, sim::Time due, const Msg &m)
+        {
+            auto *c = static_cast<Check *>(ctx);
+            c->ok = c->ok && m.seq == c->next
+                && due.picos() == std::int64_t(m.seq / 3)
+                && due.picos() >= c->last_due;
+            c->last_due = due.picos();
+            c->delivered.store(++c->next, std::memory_order_release);
+        }
+    } c;
+    Chan ch;
+    ch.onDeliver(&Check::sink, &c);
+    std::thread producer([&ch, &c]() {
+        for (std::uint64_t i = 0; i < kMsgs; ++i) {
+            // Test-side pacing only, to keep the queue's memory small;
+            // push() itself never waits.
+            while (i - c.delivered.load(std::memory_order_acquire) >= 4096)
+                std::this_thread::yield();
+            ch.push(sim::Time::ps(std::int64_t(i / 3)), Msg{i});
+        }
+    });
+    while (c.next < kMsgs) {
+        if (ch.headDue() != sim::Time::max())
+            ch.deliverHead();
+        else
+            std::this_thread::yield();
+    }
+    producer.join();
+    EXPECT_TRUE(c.ok);
+    EXPECT_EQ(ch.headDue(), sim::Time::max());
+    // The pacing window, the node whose delivery is still running
+    // when the sink counts it, and the dummy.
+    EXPECT_LE(ch.nodes(), 4096u + 2);
 }
 
 namespace {

@@ -107,6 +107,10 @@ summarizePerf(const std::vector<std::string> &files,
                 w.kv("events_per_packet",
                      num(*total, "events_per_packet"));
             }
+            // Process high-water mark, recorded for the trajectory;
+            // perf_compare prints it and gates nothing.
+            if (const JsonValue *rss = total->find("peak_rss_mb"))
+                w.kv("peak_rss_mb", rss->number);
             grand_events += num(*total, "events");
             grand_wall += num(*total, "host_wall_s");
         }

@@ -38,6 +38,11 @@
  * (every probe rejected) leaves results bit-identical and merely
  * makes the bench 50x slower, which a generous wall-clock ratio on a
  * fast runner can absorb; the fraction gate cannot be fooled that way.
+ *
+ * Each bench's peak_rss_mb (the process high-water mark, when the
+ * summary carries it) is printed beside its rate and written to the
+ * comparison file. It gates nothing: it is on record so a change in
+ * memory shows up next to the speed it bought.
  */
 
 #include <algorithm>
@@ -109,6 +114,9 @@ struct BenchRate
      *  judges this on the *fresh* side only: warp effectiveness is a
      *  property of the run, not a ratio against the baseline. */
     double warp_frac = 0.0;
+    /** Process high-water mark in MB (0 when absent). Informational;
+     *  worst-of-N across fresh repetitions. */
+    double peak_rss_mb = 0.0;
 };
 
 /** Extract per-bench events/s from a perf summary; nullopt on error. */
@@ -140,10 +148,26 @@ loadRates(const std::string &path)
             r.fluid = fluid != nullptr && fluid->boolean;
             if (const JsonValue *fs = b.find("fluid_stats"))
                 r.warp_frac = num(*fs, "warp_frac");
+            r.peak_rss_mb = num(b, "peak_rss_mb");
             rates.push_back(std::move(r));
         }
     }
     return rates;
+}
+
+/** Append the peak-RSS readings that are present to the current
+ *  console line and comparison entry. Informational: never a verdict. */
+void
+printRss(JsonWriter &w, double base_mb, double fresh_mb)
+{
+    if (base_mb > 0)
+        w.kv("baseline_peak_rss_mb", base_mb);
+    if (fresh_mb > 0)
+        w.kv("fresh_peak_rss_mb", fresh_mb);
+    if (base_mb > 0 && fresh_mb > 0)
+        std::printf(", peak RSS %.1f -> %.1f MB", base_mb, fresh_mb);
+    else if (fresh_mb > 0)
+        std::printf(", peak RSS %.1f MB", fresh_mb);
 }
 
 const BenchRate *
@@ -257,6 +281,8 @@ main(int argc, char **argv)
                     // healthy repetition cannot hide a degraded one.
                     have.warp_frac =
                         std::min(have.warp_frac, r.warp_frac);
+                    have.peak_rss_mb =
+                        std::max(have.peak_rss_mb, r.peak_rss_mb);
                     merged = true;
                     break;
                 }
@@ -345,6 +371,7 @@ main(int argc, char **argv)
                             base.events_per_packet,
                             now->events_per_packet, epp_ratio,
                             epp_ok ? "ok" : "THINNING REGRESSED");
+            printRss(w, base.peak_rss_mb, now->peak_rss_mb);
             std::printf("\n");
         }
         w.endObject();
@@ -356,10 +383,12 @@ main(int argc, char **argv)
         w.kv("bench", now.name);
         w.kv("fresh_events_per_sec", now.events_per_sec);
         w.kv("status", "new");
-        w.endObject();
         std::printf("perf_compare: %-16s new bench at %.2f M events/s "
-                    "(no baseline)\n",
+                    "(no baseline)",
                     now.name.c_str(), now.events_per_sec / 1e6);
+        printRss(w, 0.0, now.peak_rss_mb);
+        std::printf("\n");
+        w.endObject();
     }
     w.endArray();
 

@@ -25,6 +25,7 @@
  * writer fails the build rather than producing quietly-wrong JSON.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -485,6 +486,12 @@ checkPerf(const std::string &path)
     if (tev == nullptr || !tev->isNumber()
         || tev->number != sum_events)
         return fail(path, "total.events inconsistent with case sum");
+    const JsonValue *rss = total->find("peak_rss_mb");
+    if (rss != nullptr
+        && (!rss->isNumber() || !std::isfinite(rss->number)
+            || rss->number <= 0))
+        return fail(path, "total.peak_rss_mb not a finite positive "
+                          "number");
     std::printf("report_check: %s: OK (%zu cases, %.0f events, %zu "
                 "with warp stats)\n",
                 path.c_str(), cases->items.size(), sum_events,
