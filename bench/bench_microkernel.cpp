@@ -266,17 +266,42 @@ BM_LapicAcceptEoi(benchmark::State &state)
 }
 BENCHMARK(BM_LapicAcceptEoi);
 
+namespace {
+
+// One VF driver's RX region: 1024 x 2 KiB buffers, mapped as
+// Hypervisor::allocGuestBuffer maps them (a page more than the
+// buffers span), from 1 MiB up where every domain's allocator starts.
+constexpr mem::Addr kRxRegionGpa = 0x100000;
+constexpr mem::Addr kRxRegionBytes = 1024 * 2048 + mem::kPageSize;
+
+/** The RID of an 82576-style VF (device 0x10) on bus @p bus. */
+pci::Rid
+vfRid(unsigned bus)
+{
+    return pci::Bdf{std::uint8_t(bus), 0x10, 0}.rid();
+}
+
+} // namespace
+
+// Seven VFs on separate buses, each with its own domain holding one RX
+// region (513 pages), and DMA writes drawn across all of them.
 static void
 BM_IommuTranslate(benchmark::State &state)
 {
-    mem::GuestPhysMap map("bench");
-    map.mapRange(0, 1 << 20, 64 * mem::kPageSize);
+    constexpr unsigned kVfs = 7;
+    std::vector<mem::GuestPhysMap> doms(kVfs);
     mem::Iommu iommu;
-    iommu.attach(0x100, map);
+    for (unsigned i = 0; i < kVfs; ++i) {
+        doms[i].mapRange(kRxRegionGpa, mem::Addr(i + 1) << 30,
+                         kRxRegionBytes);
+        iommu.attach(vfRid(1 + i), doms[i]);
+    }
     sim::Random rng;
     for (auto _ : state) {
-        mem::Addr gpa = (rng.next() % 64) * mem::kPageSize;
-        benchmark::DoNotOptimize(iommu.translate(0x100, gpa, true));
+        std::uint64_t r = rng.next();
+        mem::Addr gpa = kRxRegionGpa + (r >> 8) % kRxRegionBytes;
+        benchmark::DoNotOptimize(
+            iommu.translate(vfRid(1 + unsigned(r % kVfs)), gpa, true));
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -735,6 +760,39 @@ perfPacketHop(core::FigReport &fr, std::uint64_t batches)
 }
 
 /**
+ * The DMA-remapping set-up gate: attaching a VF's RID and mapping one
+ * VF driver's RX region into a fresh domain allocates the bus's
+ * context table and the domain's page array, not a node per page.
+ * Deterministic on any host, so a hard failure above the bound.
+ */
+bool
+perfIommuMapGate(core::FigReport &fr)
+{
+    constexpr std::uint64_t kMaxAllocs = 4;
+    mem::Iommu iommu;
+    const std::uint64_t before = heapAllocs();
+    mem::GuestPhysMap dom;
+    iommu.attach(vfRid(1), dom);
+    dom.mapRange(kRxRegionGpa, mem::Addr(1) << 30, kRxRegionBytes);
+    const std::uint64_t allocs = heapAllocs() - before;
+    fr.report().addMetric("iommu_map.heap_allocs", double(allocs));
+    if (allocs > kMaxAllocs) {
+        std::fprintf(stderr,
+                     "perf-smoke: FAIL: %llu heap allocations to attach a "
+                     "RID and map %zu pages (bound %llu); DMA remapping "
+                     "tables must be flat\n",
+                     static_cast<unsigned long long>(allocs),
+                     dom.mappedPages(),
+                     static_cast<unsigned long long>(kMaxAllocs));
+        return false;
+    }
+    std::printf("perf-smoke: iommu map: %llu heap allocations to attach a "
+                "RID and map %zu pages\n",
+                static_cast<unsigned long long>(allocs), dom.mappedPages());
+    return true;
+}
+
+/**
  * The shard-sync gate: a frame ping-ponging between two islands pays
  * conservative sync on every crossing. The per-message overhead —
  * sharded-sequential host time minus the single-queue baseline,
@@ -830,6 +888,7 @@ main(int argc, char **argv)
     bool inline_ok = perfInlineAllocGate(fr, 1000);
     bool hop_ok = perfPacketHop(fr, 400);
     bool ping_ok = perfCrossShardPing(fr);
+    bool map_ok = perfIommuMapGate(fr);
     int rc = fr.finish();
-    return inline_ok && hop_ok && ping_ok ? rc : 1;
+    return inline_ok && hop_ok && ping_ok && map_ok ? rc : 1;
 }

@@ -11,31 +11,45 @@ GuestPhysMap::mapRange(Addr gpa, Addr mpa, Addr len, bool writable)
 {
     if (gpa % kPageSize || mpa % kPageSize)
         sim::panic("%s: unaligned mapping", name_.c_str());
-    for (Addr off = 0; off < len; off += kPageSize)
-        table_[pageOf(gpa + off)] = Entry{pageOf(mpa + off), writable};
+    if (len == 0)
+        return;
+    const Addr first = pageOf(gpa);
+    const Addr end = pageOf(gpa + len - 1) + 1;
+    if (end > table_.size())
+        table_.resize(end);
+    const Entry bits = kPresent | (writable ? kWritable : 0);
+    for (Addr page = first; page < end; ++page) {
+        mapped_ += (table_[page] & kPresent) ? 0 : 1;
+        table_[page] = (pageOf(mpa) + page - first) << 2 | bits;
+    }
 }
 
 void
 GuestPhysMap::unmapRange(Addr gpa, Addr len)
 {
-    for (Addr off = 0; off < len; off += kPageSize)
-        table_.erase(pageOf(gpa + off));
+    for (Addr off = 0; off < len; off += kPageSize) {
+        const Addr page = pageOf(gpa + off);
+        if (page < table_.size() && (table_[page] & kPresent)) {
+            table_[page] = 0;
+            --mapped_;
+        }
+    }
 }
 
+// simlint: hot
 std::optional<Addr>
 GuestPhysMap::translate(Addr gpa) const
 {
-    auto it = table_.find(pageOf(gpa));
-    if (it == table_.end())
+    const Entry e = entry(gpa);
+    if (!(e & kPresent))
         return std::nullopt;
-    return it->second.mpa_page * kPageSize + gpa % kPageSize;
+    return (e >> 2) * kPageSize + gpa % kPageSize;
 }
 
 bool
 GuestPhysMap::writable(Addr gpa) const
 {
-    auto it = table_.find(pageOf(gpa));
-    return it != table_.end() && it->second.writable;
+    return entry(gpa) & kWritable;
 }
 
 void
@@ -62,12 +76,10 @@ GuestPhysMap::markDirty(Addr gpa)
 void
 GuestPhysMap::markDirtyRange(Addr gpa, Addr len)
 {
-    if (!dirty_log_)
+    if (!dirty_log_ || len == 0)
         return;
-    for (Addr off = 0; off < len; off += kPageSize)
-        dirty_.insert(pageOf(gpa + off));
-    if (len % kPageSize == 0 && len > 0)
-        dirty_.insert(pageOf(gpa + len - 1));
+    for (Addr page = pageOf(gpa); page <= pageOf(gpa + len - 1); ++page)
+        dirty_.insert(page);
 }
 
 std::vector<Addr>

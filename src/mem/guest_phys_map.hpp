@@ -7,6 +7,11 @@
  * guest's VF RID (paper Section 2 — "RID is used to index the IOMMU
  * page table, so that different VMs can use different page tables"),
  * and the dirty-page log driving pre-copy live migration.
+ *
+ * The table is flat, like the hardware's: one word per guest page,
+ * indexed by guest page number. Domains bump-allocate guest-physical
+ * pages upward from 1 MiB (vmm::Domain::allocGuestPages), so the array
+ * is dense. Only mapRange() grows it; a lookup past its end is a miss.
  */
 
 #ifndef SRIOV_MEM_GUEST_PHYS_MAP_HPP
@@ -14,7 +19,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -39,7 +43,7 @@ class GuestPhysMap
     std::optional<Addr> translate(Addr gpa) const;
     bool writable(Addr gpa) const;
 
-    std::size_t mappedPages() const { return table_.size(); }
+    std::size_t mappedPages() const { return mapped_; }
 
     /** @name Dirty logging (pre-copy migration). @{ */
     void enableDirtyLog();
@@ -58,14 +62,22 @@ class GuestPhysMap
     /** @} */
 
   private:
-    struct Entry
+    /** Machine page number << 2 | writable << 1 | present. */
+    using Entry = std::uint64_t;
+    static constexpr Entry kPresent = 1;
+    static constexpr Entry kWritable = 2;
+
+    /** @p gpa's entry; 0 (not present) past the end of the table. */
+    Entry
+    entry(Addr gpa) const
     {
-        Addr mpa_page;
-        bool writable;
-    };
+        const Addr page = pageOf(gpa);
+        return page < table_.size() ? table_[page] : 0;
+    }
 
     std::string name_;
-    std::unordered_map<Addr, Entry> table_;    // gpa page -> entry
+    std::vector<Entry> table_;    // indexed by gpa page
+    std::size_t mapped_ = 0;      // present entries
     bool dirty_log_ = false;
     std::unordered_set<Addr> dirty_;           // gpa pages
 };

@@ -7,43 +7,40 @@ namespace sriov::mem {
 void
 Iommu::attach(pci::Rid rid, GuestPhysMap &domain)
 {
-    ctx_[rid] = &domain;
+    auto &ctx = root_[rid >> 8];
+    if (!ctx)
+        ctx = std::make_unique<ContextTable>();
+    (*ctx)[rid & 0xff] = &domain;
 }
 
 void
 Iommu::detach(pci::Rid rid)
 {
-    ctx_.erase(rid);
+    if (auto &ctx = root_[rid >> 8])
+        (*ctx)[rid & 0xff] = nullptr;
 }
 
-GuestPhysMap *
-Iommu::domainOf(pci::Rid rid)
-{
-    auto it = ctx_.find(rid);
-    return it == ctx_.end() ? nullptr : it->second;
-}
-
+// simlint: hot
 Iommu::Result
 Iommu::translate(pci::Rid rid, Addr gpa, bool is_write)
 {
     translations_.inc();
-    auto it = ctx_.find(rid);
-    if (it == ctx_.end()) {
+    GuestPhysMap *dom = domainOf(rid);
+    if (!dom) {
         faults_.inc();
         return Result{Fault::NoContext, 0};
     }
-    GuestPhysMap &dom = *it->second;
-    auto mpa = dom.translate(gpa);
+    auto mpa = dom->translate(gpa);
     if (!mpa) {
         faults_.inc();
         return Result{Fault::NotPresent, 0};
     }
     if (is_write) {
-        if (!dom.writable(gpa)) {
+        if (!dom->writable(gpa)) {
             faults_.inc();
             return Result{Fault::WriteProtected, 0};
         }
-        dom.markDirty(gpa);
+        dom->markDirty(gpa);
     }
     return Result{Fault::None, *mpa};
 }
@@ -51,16 +48,15 @@ Iommu::translate(pci::Rid rid, Addr gpa, bool is_write)
 Iommu::Result
 Iommu::translateRange(pci::Rid rid, Addr gpa, Addr len, bool is_write)
 {
-    Result first{};
-    for (Addr off = 0; off < len; off += kPageSize) {
-        Result r = translate(rid, gpa + off, is_write);
+    // Every page the range touches, a partial last page included; an
+    // empty range checks gpa's page.
+    const Result first = translate(rid, gpa, is_write);
+    const Addr last = pageOf(gpa + (len ? len - 1 : 0));
+    for (Addr page = pageOf(gpa) + 1; first.ok() && page <= last; ++page) {
+        Result r = translate(rid, page * kPageSize, is_write);
         if (!r.ok())
             return r;
-        if (off == 0)
-            first = r;
     }
-    if (len == 0)
-        return translate(rid, gpa, is_write);
     return first;
 }
 

@@ -7,13 +7,18 @@
  * remapped to machine-physical addresses, and a VF can never touch
  * memory outside its guest (paper Sections 1, 2). Faults are counted
  * and reported, never silently dropped.
+ *
+ * As in VT-d, the RID's bus indexes a 256-slot root table whose slot
+ * points to that bus's 256-entry context table, indexed by devfn: a
+ * RID resolves with two array loads.
  */
 
 #ifndef SRIOV_MEM_IOMMU_HPP
 #define SRIOV_MEM_IOMMU_HPP
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <memory>
 
 #include "mem/guest_phys_map.hpp"
 #include "pci/types.hpp"
@@ -43,8 +48,14 @@ class Iommu
     /** Bind @p rid to @p domain's page table (context entry). */
     void attach(pci::Rid rid, GuestPhysMap &domain);
     void detach(pci::Rid rid);
-    bool attached(pci::Rid rid) const { return ctx_.count(rid) != 0; }
-    GuestPhysMap *domainOf(pci::Rid rid);
+    bool attached(pci::Rid rid) const { return domainOf(rid) != nullptr; }
+
+    GuestPhysMap *
+    domainOf(pci::Rid rid) const
+    {
+        const auto &ctx = root_[rid >> 8];
+        return ctx ? (*ctx)[rid & 0xff] : nullptr;
+    }
 
     /**
      * Translate one DMA access. Writes mark the target page dirty in
@@ -67,7 +78,11 @@ class Iommu
     }
 
   private:
-    std::unordered_map<pci::Rid, GuestPhysMap *> ctx_;
+    /** One bus's context entries, indexed by devfn. */
+    using ContextTable = std::array<GuestPhysMap *, 256>;
+
+    /** Indexed by bus; a slot is filled on its bus's first attach(). */
+    std::array<std::unique_ptr<ContextTable>, 256> root_;
     sim::Counter faults_;
     sim::Counter translations_;
 };

@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "mem/dma_engine.hpp"
 #include "mem/guest_phys_map.hpp"
 #include "mem/iommu.hpp"
 #include "mem/machine_memory.hpp"
+#include "sim/random.hpp"
 #include "sim/thinning.hpp"
 
 using namespace sriov;
@@ -98,6 +105,13 @@ TEST(GuestPhysMap, DirtyLogTracksAndDrains)
 
     m.markDirtyRange(0, 3 * kPageSize);
     EXPECT_EQ(m.dirtyPageCount(), 3u);
+    m.drainDirty();
+
+    // A range that starts mid-page dirties every page it touches.
+    m.markDirtyRange(0x800, 0x900);
+    EXPECT_EQ(m.drainDirty(), (std::vector<Addr>{0, 1}));
+
+    m.markDirty(0);
     m.disableDirtyLog();
     EXPECT_EQ(m.dirtyPageCount(), 0u);
 }
@@ -166,6 +180,213 @@ TEST_F(IommuTest, TranslateRangeChecksEveryPage)
     EXPECT_TRUE(iommu.translateRange(0x100, 0, 4 * kPageSize, false).ok());
     EXPECT_EQ(iommu.translateRange(0x100, 0, 5 * kPageSize, false).fault,
               Iommu::Fault::NotPresent);
+    // Starting mid-page 3, one page of length reaches unmapped page 4.
+    EXPECT_TRUE(iommu.translateRange(0x100, 0x3800, 0x800, false).ok());
+    EXPECT_EQ(iommu.translateRange(0x100, 0x3800, 0x1000, false).fault,
+              Iommu::Fault::NotPresent);
+}
+
+// ---------------------------------------------------------------------------
+// Property: seeded random sequences of attach/detach (RIDs on several
+// buses), map/remap/unmap (read-only pages included), translations and
+// dirty-log use, checked after every step against a reference model
+// built from ordered maps.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+struct RemapModel
+{
+    struct Page
+    {
+        Addr mpa_page;
+        bool writable;
+    };
+    struct Domain
+    {
+        std::map<Addr, Page> pages;    // gpa page -> entry
+        bool log = false;
+        std::set<Addr> dirty;
+    };
+
+    std::vector<Domain> doms;
+    std::map<pci::Rid, std::size_t> ctx;    // rid -> index into doms
+    std::uint64_t faults = 0;
+    std::uint64_t translations = 0;
+
+    Iommu::Result
+    translate(pci::Rid rid, Addr gpa, bool is_write)
+    {
+        ++translations;
+        auto c = ctx.find(rid);
+        if (c == ctx.end()) {
+            ++faults;
+            return {Iommu::Fault::NoContext, 0};
+        }
+        Domain &d = doms[c->second];
+        auto p = d.pages.find(gpa / kPageSize);
+        if (p == d.pages.end()) {
+            ++faults;
+            return {Iommu::Fault::NotPresent, 0};
+        }
+        if (is_write && !p->second.writable) {
+            ++faults;
+            return {Iommu::Fault::WriteProtected, 0};
+        }
+        if (is_write && d.log)
+            d.dirty.insert(gpa / kPageSize);
+        return {Iommu::Fault::None,
+                p->second.mpa_page * kPageSize + gpa % kPageSize};
+    }
+
+    /** First address of each page [gpa, gpa + len) touches, the first
+     *  fault wins; an empty range is gpa alone. */
+    Iommu::Result
+    translateRange(pci::Rid rid, Addr gpa, Addr len, bool is_write)
+    {
+        Iommu::Result first = translate(rid, gpa, is_write);
+        const Addr end = gpa + std::max<Addr>(len, 1);
+        for (Addr a = (gpa / kPageSize + 1) * kPageSize;
+             first.ok() && a < end; a += kPageSize) {
+            Iommu::Result r = translate(rid, a, is_write);
+            if (!r.ok())
+                return r;
+        }
+        return first;
+    }
+};
+
+} // namespace
+
+TEST(IommuProperty, RandomOpsMatchReferenceModel)
+{
+    constexpr std::size_t kDomains = 3;
+    // Several buses, including the ends of both index ranges.
+    const pci::Rid kRids[] = {0x0000, 0x0001, 0x00ff, 0x0100,
+                              0x0108, 0x0708, 0x7f10, 0xff07};
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        sim::Random rng(seed);
+        std::vector<GuestPhysMap> maps;
+        for (std::size_t i = 0; i < kDomains; ++i)
+            maps.emplace_back("d" + std::to_string(i));
+        Iommu iommu;
+        RemapModel model;
+        model.doms.resize(kDomains);
+
+        auto pick = [&rng](std::uint64_t n) {
+            return rng.uniformInt(0, n - 1);
+        };
+        // Maps land on low pages or from 1 MiB up, where domains
+        // allocate; accesses also reach far past any map.
+        auto mappable = [&]() -> Addr {
+            return pick(3) == 0 ? 0x100000 + pick(24 * kPageSize)
+                                : pick(48 * kPageSize);
+        };
+        auto gpa = [&]() -> Addr {
+            return pick(8) == 0 ? 0xfee00000 + pick(kPageSize) : mappable();
+        };
+        auto expectSame = [](Iommu::Result got, Iommu::Result want) {
+            EXPECT_EQ(got.fault, want.fault);
+            EXPECT_EQ(got.mpa, want.mpa);
+        };
+
+        for (int step = 0; step < 1500; ++step) {
+            SCOPED_TRACE(testing::Message() << "step " << step);
+            const pci::Rid rid = kRids[pick(std::size(kRids))];
+            const std::size_t d = pick(kDomains);
+            GuestPhysMap &map = maps[d];
+            RemapModel::Domain &md = model.doms[d];
+            const bool is_write = pick(2) != 0;
+            switch (pick(12)) {
+            case 0:
+                iommu.attach(rid, map);
+                model.ctx[rid] = d;
+                break;
+            case 1:
+                iommu.detach(rid);
+                model.ctx.erase(rid);
+                break;
+            case 2:
+            case 3: {
+                // Page-aligned gpa and mpa; a length that may end
+                // mid-page; remaps of mapped pages included.
+                const Addr at = pageBase(mappable());
+                const Addr mpa_page = 1 + pick(1 << 20);
+                const Addr len = 1 + pick(6 * kPageSize);
+                const bool writable = pick(4) != 0;
+                map.mapRange(at, mpa_page * kPageSize, len, writable);
+                for (Addr off = 0; off < len; off += kPageSize)
+                    md.pages[(at + off) / kPageSize] = {
+                        mpa_page + off / kPageSize, writable};
+                break;
+            }
+            case 4: {
+                const Addr at = pageBase(mappable());
+                const Addr len = pick(4 * kPageSize);
+                map.unmapRange(at, len);
+                for (Addr off = 0; off < len; off += kPageSize)
+                    md.pages.erase((at + off) / kPageSize);
+                break;
+            }
+            case 5:
+            case 6:
+            case 7: {
+                const Addr a = gpa();
+                expectSame(iommu.translate(rid, a, is_write),
+                           model.translate(rid, a, is_write));
+                break;
+            }
+            case 8: {
+                const Addr a = gpa();
+                const Addr len = pick(3 * kPageSize);
+                expectSame(iommu.translateRange(rid, a, len, is_write),
+                           model.translateRange(rid, a, len, is_write));
+                break;
+            }
+            case 9:
+                if (pick(3) == 0) {
+                    map.disableDirtyLog();
+                    md.log = false;
+                } else {
+                    map.enableDirtyLog();
+                    md.log = true;
+                }
+                md.dirty.clear();
+                break;
+            case 10: {
+                const Addr a = gpa();
+                const Addr len = pick(3 * kPageSize);
+                map.markDirtyRange(a, len);
+                for (Addr x = a; md.log && x < a + len;
+                     x = (x / kPageSize + 1) * kPageSize)
+                    md.dirty.insert(x / kPageSize);
+                break;
+            }
+            case 11: {
+                std::vector<Addr> want(md.dirty.begin(), md.dirty.end());
+                md.dirty.clear();
+                EXPECT_EQ(map.drainDirty(), want);
+                break;
+            }
+            }
+
+            EXPECT_EQ(iommu.faults().value(), model.faults);
+            EXPECT_EQ(iommu.translations().value(), model.translations);
+            for (pci::Rid r : kRids) {
+                auto c = model.ctx.find(r);
+                EXPECT_EQ(iommu.domainOf(r),
+                          c == model.ctx.end() ? nullptr : &maps[c->second]);
+            }
+            for (std::size_t i = 0; i < kDomains; ++i) {
+                EXPECT_EQ(maps[i].mappedPages(), model.doms[i].pages.size());
+                EXPECT_EQ(maps[i].dirtyPageCount(),
+                          model.doms[i].dirty.size());
+            }
+            if (testing::Test::HasFailure())
+                return;
+        }
+    }
 }
 
 TEST(DmaEngine, ServiceTimeMatchesLinkRate)
