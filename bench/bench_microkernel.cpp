@@ -8,6 +8,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -252,6 +253,56 @@ BM_EventQueuePeriodic(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * kBatch);
 }
 BENCHMARK(BM_EventQueuePeriodic)->Arg(8)->Arg(128);
+
+// The shape of the sriov_rx heap: a port's DMA engine keeps about 512
+// completions pending, due in order under one tag, beside a few
+// periodic timers. Each completion re-arms one a full backlog later,
+// so the backlog stays 512 deep and in order. The tag's FIFO lane
+// keeps all but its head out of the heap.
+namespace {
+
+constexpr int kBacklogDepth = 512;
+constexpr sim::Time kBacklogGap = sim::Time::ns(1);
+
+struct BacklogTick
+{
+    sim::EventQueue *eq;
+
+    void
+    operator()() const
+    {
+        eq->scheduleIn(kBacklogGap * kBacklogDepth, *this, "dma.done");
+    }
+};
+
+/** Schedule the backlog and three periodic timers on @p eq. */
+void
+primeFifoBacklog(sim::EventQueue &eq)
+{
+    for (int i = 0; i < kBacklogDepth; ++i)
+        eq.scheduleIn(kBacklogGap * (i + 1), BacklogTick{&eq}, "dma.done");
+    static const char *const kTags[] = {"netperf.emit", "nic.itr",
+                                        "cpu.done"};
+    const std::vector<std::int64_t> periods = primesAbove(100'000, 3);
+    for (int i = 0; i < 3; ++i) {
+        PeriodicTick t{&eq, sim::Time::ps(periods[i]), kTags[i]};
+        eq.scheduleIn(t.period, t, t.tag);
+    }
+}
+
+} // namespace
+
+static void
+BM_EventQueueFifoBacklog(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    primeFifoBacklog(eq);
+    constexpr std::uint64_t kBatch = 1000;
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eq.runAll(kBatch));
+    state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_EventQueueFifoBacklog);
 
 static void
 BM_LapicAcceptEoi(benchmark::State &state)
@@ -760,6 +811,40 @@ perfPacketHop(core::FigReport &fr, std::uint64_t batches)
 }
 
 /**
+ * The FIFO-lane gate: with the FIFO backlog of
+ * BM_EventQueueFifoBacklog pending, the heap holds only the backlog's
+ * head and the three timers. Deterministic on any host, so a hard
+ * failure above the bound.
+ */
+bool
+perfFifoBacklogGate(core::FigReport &fr)
+{
+    constexpr std::size_t kMaxHeapKeys = 4;
+    sim::EventQueue eq;
+    primeFifoBacklog(eq);
+    std::size_t worst = eq.heapKeys();
+    for (int i = 0; i < 64; ++i) {
+        eq.runAll(97);
+        worst = std::max(worst, eq.heapKeys());
+    }
+    fr.report().addMetric("fifo_backlog.heap_keys", double(worst));
+    if (worst > kMaxHeapKeys) {
+        std::fprintf(stderr,
+                     "perf-smoke: FAIL: %zu heap keys with %llu events "
+                     "pending (bound %zu); an in-order backlog must wait "
+                     "in its tag's lane\n",
+                     worst,
+                     static_cast<unsigned long long>(eq.liveEvents()),
+                     kMaxHeapKeys);
+        return false;
+    }
+    std::printf("perf-smoke: fifo backlog: at most %zu heap keys with "
+                "%llu events pending\n",
+                worst, static_cast<unsigned long long>(eq.liveEvents()));
+    return true;
+}
+
+/**
  * The DMA-remapping set-up gate: attaching a VF's RID and mapping one
  * VF driver's RX region into a fresh domain allocates the bus's
  * context table and the domain's page array, not a node per page.
@@ -889,6 +974,7 @@ main(int argc, char **argv)
     bool hop_ok = perfPacketHop(fr, 400);
     bool ping_ok = perfCrossShardPing(fr);
     bool map_ok = perfIommuMapGate(fr);
+    bool backlog_ok = perfFifoBacklogGate(fr);
     int rc = fr.finish();
-    return inline_ok && hop_ok && ping_ok && map_ok ? rc : 1;
+    return inline_ok && hop_ok && ping_ok && map_ok && backlog_ok ? rc : 1;
 }

@@ -27,9 +27,13 @@ GuestPhysMap::mapRange(Addr gpa, Addr mpa, Addr len, bool writable)
 void
 GuestPhysMap::unmapRange(Addr gpa, Addr len)
 {
-    for (Addr off = 0; off < len; off += kPageSize) {
-        const Addr page = pageOf(gpa + off);
-        if (page < table_.size() && (table_[page] & kPresent)) {
+    if (len == 0)
+        return;
+    // Every page the range touches, like mapRange(); past the table's
+    // end nothing is mapped.
+    const Addr end = std::min<Addr>(pageOf(gpa + len - 1) + 1, table_.size());
+    for (Addr page = pageOf(gpa); page < end; ++page) {
+        if (table_[page] & kPresent) {
             table_[page] = 0;
             --mapped_;
         }

@@ -136,6 +136,22 @@ EventQueue::heapRemoveTop()
         siftDown(0, last);
 }
 
+void
+EventQueue::popTop(Lane &lane)
+{
+    // The root is the lane's head exactly when it is the lane's front
+    // key (seq makes every tie word unique); otherwise it is an
+    // out-of-order key, or one of a lane that drainLanes() emptied.
+    if (!lane.empty() && lane.front().tie == heap_[0].tie) {
+        lane.pop_front();
+        if (!lane.empty()) {
+            siftDown(0, lane.front());
+            return;
+        }
+    }
+    heapRemoveTop();
+}
+
 EventQueue::PreparedEvent
 EventQueue::prepareEvent(Time when, const char *tag)
 {
@@ -151,7 +167,18 @@ EventQueue::prepareEvent(Time when, const char *tag)
     Slot &s = slotRef(idx);
     s.tag = tag;
     s.state = Slot::State::Pending;
-    heapPush(HeapKey{when, tieWord(seq, idx)});
+    const HeapKey k{when, tieWord(seq, idx)};
+    // Lane invariant: each lane is sorted by (when, seq) and its head
+    // is in the heap. seq only grows, so a key sorts after the lane's
+    // last one unless it is due earlier; such a key skips the lane.
+    Lane &lane = lanes_[tagInfo(tag).lane];
+    if (!lane.empty() && when < lane.back().when) {
+        heapPush(k);
+    } else {
+        if (lane.empty())
+            heapPush(k);
+        lane.push_back(k);
+    }
     ++live_events_;
     return PreparedEvent{&s, EventHandle(idx, s.gen)};
 }
@@ -187,7 +214,7 @@ EventQueue::purgeCancelledTop()
         Slot &s = slotRef(idx);
         if (s.state != Slot::State::Cancelled)
             break;
-        heapRemoveTop();
+        popTop(lanes_[tagInfo(s.tag).lane]);
         freeSlot(s, idx);
         --cancelled_pending_;
     }
@@ -216,8 +243,8 @@ EventQueue::fnvFoldWord(std::uint64_t d, std::uint64_t v)
     return d * kZeroBytesFold[8 - bytes];
 }
 
-const EventQueue::TagFold &
-EventQueue::tagFold(const char *tag)
+const EventQueue::TagInfo &
+EventQueue::tagInfo(const char *tag)
 {
     // Direct-mapped by the literal's address (Fibonacci hashing spreads
     // neighbouring literals over the lines); a hit is one compare.
@@ -225,64 +252,74 @@ EventQueue::tagFold(const char *tag)
     TagLine &line =
         tag_cache_[(p * 0x9e3779b97f4a7c15ull) >> (64 - kTagCacheBits)];
     if (line.tag == tag)
-        return *line.fold;
-    return tagFoldMiss(line, tag);
+        return *line.info;
+    return tagInfoMiss(line, tag);
 }
 
-const EventQueue::TagFold &
-EventQueue::tagFoldMiss(TagLine &line, const char *tag)
+const EventQueue::TagInfo &
+EventQueue::tagInfoMiss(TagLine &line, const char *tag)
 {
     line.tag = tag;
     if (tag == nullptr || *tag == '\0') {
-        line.fold = &kEmptyTagFold;
-        return kEmptyTagFold;
+        line.info = &kEmptyTag;
+        return kEmptyTag;
     }
-    auto it = tag_folds_.find(tag);
-    if (it == tag_folds_.end()) {
-        auto tf = std::make_unique<TagFold>();
-        std::uint64_t pow = 1;
-        for (const char *p = tag; *p != '\0'; ++p)
-            pow *= kFnvPrime;
-        tf->pow = pow;
-        // The byte-wise FNV-1a fold d -> (d ^ b) * kPrime mod 2^64 is
-        // affine in d once the trajectory of d's low byte is fixed,
-        // and that trajectory depends only on the initial low byte:
-        // XOR with an 8-bit value touches only the low byte, and the
-        // low byte of a product mod 2^64 depends only on the low
-        // bytes of its factors. So folding a whole tag collapses to
-        //   d' = d * kPrime^len + add[d & 0xff]
-        // with a 256-entry table per tag. Identical bit-for-bit to
-        // the byte loop (pinned by SimDigest tests).
-        for (std::uint32_t lo = 0; lo < 256; ++lo) {
-            std::uint64_t d = lo;
-            for (const char *p = tag; *p != '\0'; ++p) {
-                d ^= std::uint64_t(static_cast<unsigned char>(*p));
-                d *= kFnvPrime;
-            }
-            tf->add[lo] = d - lo * pow;
-        }
-        it = tag_folds_.emplace(tag, std::move(tf)).first;
+    auto it = tags_.find(tag);
+    if (it == tags_.end()) {
+        // The fold waits for the tag's first execution (pow == 0 until
+        // then): a schedule needs only the lane, so set-up that
+        // schedules a tag does not pay for its fold.
+        auto tf = std::make_unique<TagInfo>();
+        tf->pow = 0;
+        tf->lane = std::uint32_t(lanes_.size());
+        lanes_.emplace_back();
+        it = tags_.emplace(tag, std::move(tf)).first;
     }
-    line.fold = it->second.get();
-    return *line.fold;
+    line.info = it->second.get();
+    return *line.info;
 }
 
 void
-EventQueue::foldDigest(Time when, std::uint64_t seq, const char *tag)
+EventQueue::foldTag(const char *tag)
+{
+    TagInfo &tf = *tags_.find(tag)->second;
+    std::uint64_t pow = 1;
+    for (const char *p = tag; *p != '\0'; ++p)
+        pow *= kFnvPrime;
+    tf.pow = pow;
+    // The byte-wise FNV-1a fold d -> (d ^ b) * kPrime mod 2^64 is
+    // affine in d once the trajectory of d's low byte is fixed, and
+    // that trajectory depends only on the initial low byte: XOR with
+    // an 8-bit value touches only the low byte, and the low byte of a
+    // product mod 2^64 depends only on the low bytes of its factors.
+    // So folding a whole tag collapses to
+    //   d' = d * kPrime^len + add[d & 0xff]
+    // with a 256-entry table per tag. Identical bit-for-bit to the
+    // byte loop (pinned by SimDigest tests).
+    for (std::uint32_t lo = 0; lo < 256; ++lo) {
+        std::uint64_t d = lo;
+        for (const char *p = tag; *p != '\0'; ++p) {
+            d ^= std::uint64_t(static_cast<unsigned char>(*p));
+            d *= kFnvPrime;
+        }
+        tf.add[lo] = d - lo * pow;
+    }
+}
+
+void
+EventQueue::foldDigest(Time when, std::uint64_t seq, const TagInfo &ti)
 {
     std::uint64_t d = fnvFoldWord(digest_, std::uint64_t(when.picos()));
     d = fnvFoldWord(d, seq);
-    // An empty tag folds as the identity (kEmptyTagFold), so no branch
-    // on the tag's content.
-    const TagFold &tf = tagFold(tag);
-    digest_ = d * tf.pow + tf.add[d & 0xff];
+    // An empty tag folds as the identity (kEmptyTag), so no branch on
+    // the tag's content.
+    digest_ = d * ti.pow + ti.add[d & 0xff];
 }
 
 void
 EventQueue::executeTop()
 {
     const HeapKey k = heap_[0];
-    heapRemoveTop();
     const std::uint64_t seq = k.tie >> kSlotBits;
     const std::uint32_t idx = slotOf(k);
     // Chunked slot storage never relocates, so the callback runs in
@@ -291,13 +328,19 @@ EventQueue::executeTop()
     // no-op (the event has already fired).
     Slot &s = slotRef(idx);
     const char *tag = s.tag;
+    // TagInfo entries never move (boxed, or the static kEmptyTag), so
+    // the pointer outlives the callback's schedules.
+    const TagInfo *ti = &tagInfo(tag);
+    popTop(lanes_[ti->lane]);
+    if (ti->pow == 0)
+        foldTag(tag);
     s.state = Slot::State::Running;
     --live_events_;
     if (observer_ != nullptr)
         observer_->onExecute(k.when, now_, seq, tag);
     now_ = k.when;
     ++executed_;
-    foldDigest(k.when, seq, tag);
+    foldDigest(k.when, seq, *ti);
     if (!exec_hooks_.empty()) {
         // Iterate by index: the callback (or a hook) may add or remove
         // hooks mid-event, e.g. a tracer detaching at a record limit.
@@ -334,13 +377,32 @@ void
 EventQueue::snapshotPending(std::vector<PendingEvent> &out) const
 {
     out.clear();
-    out.reserve(heap_.size());
-    for (std::uint32_t i = 0; i < heap_.size(); ++i) {
-        const HeapKey &k = heap_[i];
+    out.reserve(live_events_);
+    std::uint32_t index = 0;
+    auto add = [&](const HeapKey &k) {
         const Slot &s = slotRef(slotOf(k));
-        if (s.state != Slot::State::Pending)
-            continue;
-        out.push_back(PendingEvent{k.when, k.tie >> kSlotBits, s.tag, i});
+        if (s.state == Slot::State::Pending)
+            out.push_back(
+                PendingEvent{k.when, k.tie >> kSlotBits, s.tag, index});
+        ++index;
+    };
+    for (const HeapKey &k : heap_)
+        add(k);
+    // Behind the heap, in drainLanes() order: each lane's keys after
+    // its head (the head is already in the heap).
+    for (const Lane &lane : lanes_) {
+        for (std::size_t j = 1; j < lane.size(); ++j)
+            add(lane[j]);
+    }
+}
+
+void
+EventQueue::drainLanes()
+{
+    for (Lane &lane : lanes_) {
+        for (std::size_t j = 1; j < lane.size(); ++j)
+            heap_.push_back(lane[j]);
+        lane.clear();
     }
 }
 
@@ -360,6 +422,9 @@ EventQueue::fluidWarp(Time delta,
 {
     if (delta < Time())
         panic("fluid warp backwards");
+    // A warp may shift only some keys of a tag, which would unsort its
+    // lane: every key joins the heap, and the lanes restart empty.
+    drainLanes();
     for (std::uint32_t idx : shift_keys) {
         if (idx >= heap_.size())
             panic("fluid warp: stale heap index");

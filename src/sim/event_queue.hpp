@@ -16,6 +16,12 @@
  *    heap percolation never moves a callback; one unsigned 128-bit
  *    compare orders two keys, and a sift-down picks the least of four
  *    children by a pairwise tournament of conditional moves;
+ *  - each tag has a FIFO lane: a key that sorts after its tag's last
+ *    queued key joins the lane instead of the heap, and the heap holds
+ *    only each lane's head (plus the out-of-order keys), so a deep
+ *    in-order backlog such as a port's DMA completions costs the heap
+ *    one key, and popping a lane head refills the root from the lane
+ *    in one sift-down;
  *  - slots live in fixed-size chunks whose addresses never change, so
  *    the callback is invoked in place — no per-event move of the
  *    capture, and no slot relocation when the store grows mid-event;
@@ -23,8 +29,9 @@
  *    stale heap key is dropped when it reaches the top;
  *  - the order digest folds `when` and `seq` with one multiply per
  *    significant byte plus one for all the zero bytes above it, and
- *    memoizes each tag's FNV-1a contribution, found through a small
- *    direct-mapped cache keyed by the literal's pointer.
+ *    memoizes each tag's FNV-1a contribution, found (with the tag's
+ *    lane) through a small direct-mapped cache keyed by the literal's
+ *    pointer.
  *
  * Two correctness facilities are built in (see src/check/):
  *  - an Observer that is told about schedule-in-the-past attempts and
@@ -49,6 +56,7 @@
 #include <vector>
 
 #include "sim/inplace_fn.hpp"
+#include "sim/ring_buf.hpp"
 #include "sim/time.hpp"
 
 namespace sriov::sim {
@@ -236,21 +244,25 @@ class EventQueue
         Time when;
         std::uint64_t seq;
         const char *tag;
-        std::uint32_t key_index;    ///< position in the heap array
+        /** Position in the heap array; past its end, the keys queued
+         *  behind the lane heads, numbered lane by lane. */
+        std::uint32_t key_index;
     };
 
-    /** Snapshot live pending events (heap array order, cancelled
-     *  entries skipped). */
+    /** Snapshot live pending events (heap array order, then each
+     *  lane's keys behind its head; cancelled entries skipped). */
     void snapshotPending(std::vector<PendingEvent> &out) const;
 
     /**
-     * Advance now() by @p delta and shift the heap keys listed in
+     * Advance now() by @p delta and shift the keys listed in
      * @p shift_keys (key_index values from an immediately preceding
      * snapshotPending()) by the same amount; keys not listed keep
-     * their absolute due times. Rebuilds the heap — pop order is a
-     * pure function of the (when, seq) keys, so any heap shape yields
-     * the same deterministic schedule. Panics if the warp would leave
-     * an unshifted live event in the past; cancelled keys, which the
+     * their absolute due times. First drains every lane into the heap
+     * in snapshot order, so the indices name heap positions, then
+     * rebuilds the heap — pop order is a pure function of the
+     * (when, seq) keys, so any heap shape yields the same
+     * deterministic schedule. Panics if the warp would leave an
+     * unshifted live event in the past; cancelled keys, which the
      * snapshot omits, are dropped instead.
      */
     void fluidWarp(Time delta, const std::vector<std::uint32_t> &shift_keys);
@@ -263,8 +275,12 @@ class EventQueue
     /** Scheduled-but-not-yet-fired (and not cancelled) events. */
     std::uint64_t liveEvents() const { return live_events_; }
 
-    /** Cancelled events whose heap entries have not been popped yet. */
+    /** Cancelled events whose keys have not been popped yet. */
     std::size_t cancelledPending() const { return cancelled_pending_; }
+
+    /** Keys in the heap proper: lane heads and out-of-order keys, not
+     *  the keys queued behind a lane head. */
+    std::size_t heapKeys() const { return heap_.size(); }
 
     /**
      * Running FNV-1a hash of (when, seq, tag) of every executed event.
@@ -336,13 +352,14 @@ class EventQueue
 
     /**
      * One entry-store slot. A slot is Pending from scheduleAt() until
-     * its heap key is popped; Running while its callback executes (so
-     * a cancel() from inside the event itself is a no-op, matching the
+     * its key is popped; Running while its callback executes (so a
+     * cancel() from inside the event itself is a no-op, matching the
      * pre-slot-map semantics); Cancelled in between cancel() and the
      * purge; Free on the free list otherwise. Each Pending/Cancelled
-     * slot has exactly one key in the heap, so a popped key's slot
-     * state alone says whether the event is live. gen increments on
-     * every free, invalidating stale EventHandles.
+     * slot has exactly one key, in the heap or queued in its tag's
+     * lane, so a popped key's slot state alone says whether the event
+     * is live. gen increments on every free, invalidating stale
+     * EventHandles.
      */
     struct Slot
     {
@@ -376,34 +393,48 @@ class EventQueue
         return slot_chunks_[idx >> kSlotChunkShift][idx & kSlotChunkMask];
     }
 
-    /** Memoized FNV-1a contribution of one tag (see tagFold()). */
-    struct TagFold
+    /**
+     * What the queue memoizes per tag pointer: the index of its FIFO
+     * lane, from the first schedule, and its FNV-1a contribution to
+     * the digest, from the first execution (see foldTag()).
+     */
+    struct TagInfo
     {
-        std::uint64_t pow;          ///< kPrime^strlen(tag)
+        std::uint64_t pow;          ///< kPrime^strlen(tag); 0: unfolded
+        std::uint32_t lane;         ///< index into lanes_
         std::uint64_t add[256];     ///< indexed by digest's low byte
     };
 
-    /** The fold of an empty (or null) tag: the identity. */
-    static constexpr TagFold kEmptyTagFold{1, {}};
+    /** An empty (or null) tag: the identity fold, and lane 0. */
+    static constexpr TagInfo kEmptyTag{1, 0, {}};
 
     /**
-     * One line of the direct-mapped tag cache in front of tag_folds_.
-     * A fresh line maps the null tag to the identity fold, so a lookup
-     * needs no "line empty" test.
+     * One line of the direct-mapped tag cache in front of tags_. A
+     * fresh line maps the null tag to kEmptyTag, so a lookup needs no
+     * "line empty" test.
      */
     struct TagLine
     {
         const char *tag = nullptr;
-        const TagFold *fold = &kEmptyTagFold;
+        const TagInfo *info = &kEmptyTag;
     };
     static constexpr unsigned kTagCacheBits = 6;
 
     /**
+     * A tag's FIFO lane: keys in (when, seq) order, whose head is also
+     * in the heap. prepareEvent() appends a key that does not sort
+     * before the lane's last one and pushes any other into the heap
+     * alone; popping the head refills the root from the lane. Sized
+     * by occupancy (RingBuf doubles to the high-water mark).
+     */
+    using Lane = RingBuf<HeapKey>;
+
+    /**
      * Everything scheduleAt() does except constructing the callable:
-     * past-check, seq assignment, slot allocation, heap push. Split
-     * out so the template wrapper stays tiny at every call site. The
-     * returned slot's fn is empty until the caller emplaces it — fine,
-     * since events only run from runUntil()/runAll().
+     * past-check, seq assignment, slot allocation, lane or heap push.
+     * Split out so the template wrapper stays tiny at every call site.
+     * The returned slot's fn is empty until the caller emplaces it —
+     * fine, since events only run from runUntil()/runAll().
      */
     struct PreparedEvent
     {
@@ -416,6 +447,12 @@ class EventQueue
     void freeSlot(Slot &s, std::uint32_t idx);
     void heapPush(HeapKey k);
     void heapRemoveTop();
+    /** Pop the heap root, of tag lane @p lane: a lane head is
+     *  replaced by the lane's next key, if there is one. */
+    void popTop(Lane &lane);
+    /** Append every key queued behind a lane head to the heap array,
+     *  in snapshotPending() order, and empty the lanes. */
+    void drainLanes();
     /** Move @p k down from heap position @p i to where it belongs. */
     void siftDown(std::size_t i, HeapKey k);
     /** Full heapify after fluidWarp()'s selective key shift. */
@@ -424,12 +461,17 @@ class EventQueue
     void purgeCancelledTop();
     /** Execute the top event. @pre heap top is a Pending slot. */
     void executeTop();
-    void foldDigest(Time when, std::uint64_t seq, const char *tag);
-    const TagFold &tagFold(const char *tag);
-    /** tagFold()'s miss path: find or build the fold, fill the line. */
-    const TagFold &tagFoldMiss(TagLine &line, const char *tag);
+    void foldDigest(Time when, std::uint64_t seq, const TagInfo &ti);
+    const TagInfo &tagInfo(const char *tag);
+    /** tagInfo()'s miss path: find or make the entry (and its lane),
+     *  fill the line. */
+    const TagInfo &tagInfoMiss(TagLine &line, const char *tag);
+    /** Build the digest fold of @p tag's entry. @pre the entry exists. */
+    void foldTag(const char *tag);
 
     std::vector<HeapKey> heap_;    ///< 4-ary min-heap, root at [0]
+    /** One lane per tag, in first-use order; lane 0 is the empty tag's. */
+    std::vector<Lane> lanes_ = std::vector<Lane>(1);
     std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
     std::uint32_t slot_count_ = 0;
     std::uint32_t free_head_ = EventHandle::kNone;
@@ -440,7 +482,7 @@ class EventQueue
     std::size_t cancelled_pending_ = 0;
     std::uint64_t digest_ = 0xcbf29ce484222325ull;    // FNV-1a offset basis
     std::array<TagLine, std::size_t(1) << kTagCacheBits> tag_cache_{};
-    std::unordered_map<const void *, std::unique_ptr<TagFold>> tag_folds_;
+    std::unordered_map<const void *, std::unique_ptr<TagInfo>> tags_;
     Observer *observer_ = nullptr;
     std::vector<ExecHook *> exec_hooks_;
 };

@@ -46,6 +46,7 @@ ShardEngine::addIsland(EventQueue &eq)
     isl.promise = std::make_unique<Promise>();
     islands_.push_back(std::move(isl));
     comps_.clear();
+    units_.clear();
     return unsigned(islands_.size() - 1);
 }
 
@@ -66,6 +67,7 @@ ShardEngine::connect(ShardEdge &edge, unsigned from, unsigned to,
     e.lookahead_ps = lookahead.picos();
     islands_[to].in.push_back(e);
     comps_.clear();
+    units_.clear();
 }
 
 Time
@@ -299,6 +301,42 @@ ShardEngine::components()
     return comps_;
 }
 
+bool
+ShardEngine::hasHub(const std::vector<unsigned> &group) const
+{
+    for (unsigned i : group) {
+        const std::vector<InEdge> &in = islands_[i].in;
+        for (const InEdge &e : in) {
+            if (e.from != in.front().from)
+                return true;
+        }
+    }
+    return false;
+}
+
+const std::vector<std::vector<unsigned>> &
+ShardEngine::placementUnits()
+{
+    if (!units_.empty())
+        return units_;
+    // Whole components, unless there are fewer components than
+    // workers: then a component with a hub island (fed by more than
+    // one other island: the ToR relay) is dealt island by island,
+    // since its leaves share nothing but the hub. Any other component
+    // stays whole, because splitting a server slice from its client
+    // only turns every lookahead round into cross-core traffic.
+    const std::vector<std::vector<unsigned>> &comps = components();
+    for (const std::vector<unsigned> &group : comps) {
+        if (comps.size() < workers_ && hasHub(group)) {
+            for (unsigned i : group)
+                units_.push_back({i});
+        } else {
+            units_.push_back(group);
+        }
+    }
+    return units_;
+}
+
 std::uint64_t
 ShardEngine::runUntil(Time deadline)
 {
@@ -316,8 +354,9 @@ ShardEngine::runUntil(Time deadline)
     }
 
     const std::vector<std::vector<unsigned>> &comps = components();
-
-    const unsigned w = std::min(workers_, islandCount());
+    const std::vector<std::vector<unsigned>> &units = placementUnits();
+    const unsigned w =
+        unsigned(std::min<std::size_t>(workers_, units.size()));
     if (w <= 1 || forcesSequential()) {
         // Sequential oracle: same merge loop, calling thread, one
         // component at a time until it stalls (for a self-contained
@@ -353,24 +392,16 @@ ShardEngine::runUntil(Time deadline)
                 break;
         }
     } else {
-        // Deterministic round-robin of whole components over workers —
-        // in this repo's topology (per-port server/client pairs) the
-        // workers then share nothing and the speedup is bounded only
-        // by component balance. A hub topology (the multi-host ToR
-        // relay) fuses everything into fewer components than workers;
-        // then the only parallelism left is *inside* a component, so
-        // fall back to round-robin of islands — promises and floors
-        // are already cross-thread safe, and the idle/yield loop below
-        // absorbs the waits. Either grouping affects wall clock only.
+        // Deterministic round-robin of units over workers. Per-port
+        // server/client pairs then share nothing, and the speedup is
+        // bounded only by their balance; a split hub component's
+        // islands sync across workers through promises and floors,
+        // which are cross-thread safe, and the idle/yield loop below
+        // absorbs the waits.
         std::vector<std::vector<unsigned>> owned(w);
-        if (comps.size() >= w) {
-            for (std::size_t c = 0; c < comps.size(); ++c) {
-                for (unsigned i : comps[c])
-                    owned[c % w].push_back(i);
-            }
-        } else {
-            for (std::size_t i = 0; i < islands_.size(); ++i)
-                owned[i % w].push_back(unsigned(i));
+        for (std::size_t u = 0; u < units.size(); ++u) {
+            for (unsigned i : units[u])
+                owned[u % w].push_back(i);
         }
 
         std::vector<std::thread> threads;

@@ -381,8 +381,17 @@ class ShardEngine
      *  cached until the next addIsland()/connect(). */
     const std::vector<std::vector<unsigned>> &components();
 
+    /** Does an island of @p group have in-edges from two or more
+     *  islands? */
+    bool hasHub(const std::vector<unsigned> &group) const;
+
+    /** What runUntil() deals round-robin over its workers (see the
+     *  .cpp); cached like components(). */
+    const std::vector<std::vector<unsigned>> &placementUnits();
+
     std::vector<Island> islands_;
     std::vector<std::vector<unsigned>> comps_;
+    std::vector<std::vector<unsigned>> units_;
     unsigned workers_;
 };
 

@@ -78,6 +78,25 @@ TEST(GuestPhysMap, UnmapRemovesPages)
     EXPECT_TRUE(m.translate(2 * kPageSize).has_value());
 }
 
+TEST(GuestPhysMap, UnalignedUnmapClearsEveryPageItTouches)
+{
+    GuestPhysMap m("g");
+    m.mapRange(0, 0x100000, 4 * kPageSize);
+    // 0x800..0x17ff touches pages 0 and 1.
+    m.unmapRange(0x800, kPageSize);
+    EXPECT_FALSE(m.translate(0).has_value());
+    EXPECT_FALSE(m.translate(kPageSize).has_value());
+    EXPECT_TRUE(m.translate(2 * kPageSize).has_value());
+    EXPECT_EQ(m.mappedPages(), 2u);
+    // An empty range unmaps nothing, even mid-page.
+    m.unmapRange(2 * kPageSize + 0x10, 0);
+    EXPECT_EQ(m.mappedPages(), 2u);
+    // A range reaching past the table's end stops at it.
+    m.unmapRange(3 * kPageSize + 1, 64 * kPageSize);
+    EXPECT_EQ(m.mappedPages(), 1u);
+    EXPECT_TRUE(m.translate(2 * kPageSize).has_value());
+}
+
 TEST(GuestPhysMap, ReadOnlyMappings)
 {
     GuestPhysMap m("g");
@@ -322,11 +341,15 @@ TEST(IommuProperty, RandomOpsMatchReferenceModel)
                 break;
             }
             case 4: {
-                const Addr at = pageBase(mappable());
+                // Unaligned starts too: every page the range touches
+                // goes, and an empty range removes nothing.
+                const Addr at = pick(2) == 0 ? pageBase(mappable())
+                                             : mappable();
                 const Addr len = pick(4 * kPageSize);
                 map.unmapRange(at, len);
-                for (Addr off = 0; off < len; off += kPageSize)
-                    md.pages.erase((at + off) / kPageSize);
+                for (Addr page = at / kPageSize;
+                     len != 0 && page <= (at + len - 1) / kPageSize; ++page)
+                    md.pages.erase(page);
                 break;
             }
             case 5:

@@ -210,6 +210,89 @@ TEST(ShardEngine, TieBreakDeterministicAcrossWorkerCounts)
     EXPECT_EQ(w1[1], 0xbbu);
 }
 
+namespace {
+
+/** Which threads ran island @p i's local events: each island writes
+ *  only its own list, so a wrong placement cannot race here. */
+struct ThreadLog
+{
+    std::vector<std::vector<std::thread::id>> by_island;
+
+    void
+    tick(sim::EventQueue &eq, unsigned island)
+    {
+        for (unsigned k = 0; k < 20; ++k)
+            eq.scheduleIn(sim::Time::us(7 * k), [this, island]() {
+                by_island[island].push_back(std::this_thread::get_id());
+            });
+    }
+};
+
+} // namespace
+
+TEST(ShardEngine, TwoIslandComponentStaysOnTheCallingThread)
+{
+    // A server slice and its client exchange promises every lookahead
+    // round: at any worker count the pair runs on one thread, the
+    // calling one, like --shards=1.
+    for (unsigned workers : {2u, 4u}) {
+        SCOPED_TRACE(workers);
+        sim::EventQueue eq_a, eq_b;
+        sim::ShardEngine engine(workers);
+        unsigned ia = engine.addIsland(eq_a);
+        unsigned ib = engine.addIsland(eq_b);
+        nic::Wire wire(eq_a, eq_b, engine, ia, ib, kWire);
+        Bouncer a, b;
+        a.wire = b.wire = &wire;
+        a.pong = b.pong = makePacket(2);
+        wire.connect(a, b);
+        wire.send(a, a.pong);
+        ThreadLog log;
+        log.by_island.resize(2);
+        log.tick(eq_a, ia);
+        log.tick(eq_b, ib);
+        engine.runUntil(sim::Time::ms(1));
+        for (const auto &ids : log.by_island) {
+            ASSERT_EQ(ids.size(), 20u);
+            for (std::thread::id id : ids)
+                EXPECT_EQ(id, std::this_thread::get_id());
+        }
+    }
+}
+
+TEST(ShardEngine, HubComponentIsDealtIslandByIsland)
+{
+    // Two senders feeding one receiver: the receiver is a hub, so with
+    // a worker per island each island runs on a thread of its own.
+    sim::EventQueue eq_a, eq_b, eq_c;
+    sim::ShardEngine engine(3);
+    unsigned ia = engine.addIsland(eq_a);
+    unsigned ib = engine.addIsland(eq_b);
+    unsigned ic = engine.addIsland(eq_c);
+    nic::Wire wac(eq_a, eq_c, engine, ia, ic, kWire);
+    nic::Wire wbc(eq_b, eq_c, engine, ib, ic, kWire);
+    Mute a, b, ca, cb;
+    wac.connect(a, ca);
+    wbc.connect(b, cb);
+    ThreadLog log;
+    log.by_island.resize(3);
+    log.tick(eq_a, ia);
+    log.tick(eq_b, ib);
+    log.tick(eq_c, ic);
+    engine.runUntil(sim::Time::ms(1));
+    std::vector<std::thread::id> first;
+    for (const auto &ids : log.by_island) {
+        ASSERT_EQ(ids.size(), 20u);
+        for (std::thread::id id : ids)
+            EXPECT_EQ(id, ids.front());
+        EXPECT_NE(ids.front(), std::this_thread::get_id());
+        first.push_back(ids.front());
+    }
+    EXPECT_NE(first[0], first[1]);
+    EXPECT_NE(first[0], first[2]);
+    EXPECT_NE(first[1], first[2]);
+}
+
 TEST(ShardEngine, ObserverForcesSequential)
 {
     struct NullObserver final : sim::EventQueue::Observer

@@ -990,6 +990,108 @@ TEST(EventQueue, AgreesWithSortedReferenceModel)
     }
 }
 
+TEST(EventQueue, TagLanesKeepExactOrder)
+{
+    // The shapes a tag's FIFO lane must get right, checked against the
+    // reference model at every pop.
+    static const char kDma[] = "dma.done";
+    static const char kItr[] = "nic.itr";
+    ModelHarness m;
+    auto handleOf = [&m](std::uint64_t seq) {
+        for (auto &[key, ev] : m.live)
+            if (key.second == seq)
+                return &ev.handle;
+        ADD_FAILURE() << "seq " << seq << " is not live";
+        return static_cast<EventHandle *>(nullptr);
+    };
+    auto cancelSeq = [&](std::uint64_t seq) {
+        EventHandle *h = handleOf(seq);
+        ASSERT_NE(h, nullptr);
+        m.eq.cancel(*h);
+        for (auto it = m.live.begin(); it != m.live.end(); ++it)
+            if (it->first.second == seq) {
+                m.live.erase(it);
+                break;
+            }
+    };
+
+    // A 512-deep in-order backlog under one tag, two keys per due time
+    // (10..265 ns), like a port's DMA completions, beside two periodic
+    // timers of another tag that land on the same nanoseconds. The
+    // heap holds the two lane heads.
+    for (int i = 0; i < 512; ++i)
+        m.schedule(Time::ns(10 + i / 2), kDma, Time(), 0);
+    m.schedule(Time::ns(7), kItr, Time::ns(3), 200);
+    m.schedule(Time::ns(9), kItr, Time::ns(4), 200);
+    EXPECT_EQ(m.eq.heapKeys(), 2u);
+    m.checkSnapshot();
+
+    // Out-of-order keys of the same tag go to the heap alone: one
+    // before the lane's head, the rest tied with two lane keys each
+    // (lane keys have the lower seq, so they pop first).
+    m.schedule(Time::ns(5), kDma, Time(), 0);
+    for (int i = 0; i < 16; ++i)
+        m.schedule(Time::ns(20 + 13 * i), kDma, Time(), 0);
+    EXPECT_EQ(m.eq.heapKeys(), 2u + 17u);
+
+    // Cancel the lane's head (seq 1) and a key deep in it (seq 300).
+    cancelSeq(1);
+    cancelSeq(300);
+    EXPECT_EQ(m.eq.liveEvents(), m.live.size());
+    m.checkSnapshot();
+
+    m.eq.runUntil(Time::ns(60));
+    EXPECT_EQ(m.eq.liveEvents(), m.live.size());
+    EXPECT_GT(m.live.begin()->first.first, Time::ns(60));
+    m.checkSnapshot();
+
+    // A warp while lanes are deep: shift only every other dma.done key
+    // due after the landing point (and every key due before it), so
+    // the tag's keys interleave differently afterwards.
+    std::vector<EventQueue::PendingEvent> snap;
+    m.eq.snapshotPending(snap);
+    const Time delta = Time::ns(25);
+    const Time landing = m.eq.now() + delta;
+    std::vector<std::uint32_t> shift;
+    std::map<ModelHarness::Key, ModelHarness::Live> moved;
+    std::size_t kept_dma = 0;
+    for (const EventQueue::PendingEvent &p : snap) {
+        if (p.when >= landing && (p.tag != kDma || p.seq % 2 == 0)) {
+            kept_dma += p.tag == kDma;
+            continue;
+        }
+        shift.push_back(p.key_index);
+        auto it = m.live.find({p.when, p.seq});
+        ASSERT_NE(it, m.live.end());
+        moved.emplace(ModelHarness::Key{p.when + delta, p.seq},
+                      it->second);
+        m.live.erase(it);
+    }
+    EXPECT_GT(kept_dma, 100u);
+    EXPECT_GT(shift.size(), 100u);
+    m.live.merge(moved);
+    m.eq.fluidWarp(delta, shift);
+    EXPECT_EQ(m.eq.now(), landing);
+    m.checkSnapshot();
+
+    // The lanes restart after the warp: a new in-order backlog behind
+    // the drained keys, with one more out-of-order key and a cancel.
+    const Time t = m.eq.now();
+    for (int i = 0; i < 64; ++i)
+        m.schedule(t + Time::ns(1 + i), kDma, Time(), 0);
+    m.schedule(t + Time::ns(3), kDma, Time(), 0);
+    cancelSeq(m.next_seq - 10);
+    m.checkSnapshot();
+
+    m.eq.runAll();
+    EXPECT_EQ(m.out_of_order, 0u);
+    EXPECT_TRUE(m.live.empty());
+    EXPECT_EQ(m.eq.liveEvents(), 0u);
+    EXPECT_EQ(m.eq.heapKeys(), 0u);
+    EXPECT_EQ(m.eq.executed(), m.fired);
+    EXPECT_EQ(m.eq.orderDigest(), m.ref.d);
+}
+
 TEST(RingBuf, FifoAcrossWraparound)
 {
     RingBuf<int> rb(8);
