@@ -113,7 +113,7 @@ main(int argc, char **argv)
     // Line-rate goodput per port, scaled by the rack size.
     fr.expect("goodput_gbps", m.total_goodput_bps / 1e9,
               0.957 * ports, 6);
-    if (sim::fluidMode() == sim::FluidMode::On) {
+    if (fr.options().run().fluid == sim::FluidMode::On) {
         // The point of the bench: nearly the whole steady horizon is
         // warped, not simulated. 90% leaves room for the probe duty
         // cycle and the per-second retune boundaries.

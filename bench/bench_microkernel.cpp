@@ -462,7 +462,7 @@ struct PacketHop
     /** Full-export path tracer riding the hop: its record() calls sit
      *  on the exact instrumented path the figure benches run, so the
      *  allocs_per_packet gate below also proves the tracer hot path
-     *  allocation-free. (Construct under a PathTraceScope{Full}.) */
+     *  allocation-free. */
     obs::PathTracer pt;
     std::uint16_t origin_comp = 0;
     std::uint16_t drv_comp = 0;
@@ -472,9 +472,12 @@ struct PacketHop
     std::uint64_t packets = 0;
     nic::Packet pkt;
 
-    PacketHop()
-        : wire(eq, nic::Wire::Params{10e9, sim::Time::ns(500)}),
-          nic(eq, "hop0", pci::Bdf{1, 0, 0})
+    /** The hop runs in @p run's thinning and path-trace export. */
+    explicit PacketHop(const obs::RunConfig &run)
+        : eq(run.thin),
+          wire(eq, nic::Wire::Params{10e9, sim::Time::ns(500)}),
+          nic(eq, "hop0", pci::Bdf{1, 0, 0}),
+          pt(obs::PathTracer::Params{.full = run.pathtrace})
     {
         wire.connect(host, nic);
         nic.attachWire(wire);
@@ -639,8 +642,7 @@ BM_PacketHop(benchmark::State &state)
 {
     // Full export: every packet pushes ring records through the whole
     // hop, and the allocation gate must still read zero.
-    obs::PathTraceScope pt_full(obs::PathTraceMode::Full);
-    PacketHop hop;
+    PacketHop hop(obs::RunConfig{.pathtrace = true});
     hop.sendBatch();    // warm queues, rings and scratch buffers
     std::uint64_t allocs_before = heapAllocs();
     std::uint64_t pkts_before = hop.packets;
@@ -777,7 +779,7 @@ perfInlineAllocGate(core::FigReport &fr, std::uint64_t batches)
 bool
 perfPacketHop(core::FigReport &fr, std::uint64_t batches)
 {
-    PacketHop hop;
+    PacketHop hop(fr.options().run());
     hop.sendBatch();    // warm-up batch absorbs one-time growth
     std::uint64_t events_before = hop.eq.executed();
     std::uint64_t pkts_before = hop.packets;

@@ -68,9 +68,8 @@ FigCase::addMetric(const std::string &name, double value)
 void
 FigCase::drive(Testbed &tb, const std::function<void()> &fn)
 {
-    obs::ChromeTraceWriter w;
-    if (!trace_path_.empty())
-        tb.attachObsTrace(w);
+    if (trace_ != nullptr)
+        tb.attachObsTrace(*trace_);
     std::uint64_t before = tb.executedEvents();
     sim::Time s0 = tb.now();
     // simlint:allow(no-wallclock): host-side perf sidecar timing only
@@ -83,17 +82,10 @@ FigCase::drive(Testbed &tb, const std::function<void()> &fn)
     // the last drive's view covers every earlier drive of the case.
     if (const sim::FluidStats *fs = tb.fluidStats())
         fluid_ = *fs;
-    if (trace_path_.empty())
+    if (trace_ == nullptr)
         return;
-    w.detachAll();
-    if (w.writeTo(trace_path_)) {
-        std::printf("trace: wrote %s (%zu events, %zu tracks)\n",
-                    trace_path_.c_str(), w.eventCount(), w.trackCount());
-    } else {
-        std::fprintf(stderr, "trace: FAILED to write %s\n",
-                     trace_path_.c_str());
-    }
-    trace_path_.clear();
+    trace_->detachAll();
+    trace_ = nullptr;
 }
 
 FigReport::FigReport(int argc, char **argv, const std::string &fig,
@@ -123,7 +115,7 @@ FigReport::sweep(const std::vector<std::string> &labels,
         }
         jobs = 1;
         trace_done_ = true;
-        cases.front().trace_path_ = opts_.tracePath();
+        cases.front().trace_ = &trace_;
     }
     SweepRunner(jobs).run(cases.size(),
                           [&](std::size_t i) { body(cases[i], i); });
@@ -131,8 +123,8 @@ FigReport::sweep(const std::vector<std::string> &labels,
         for (FigCase::Snap &s : c.snaps_)
             rep_.addSnapshot(s.label, std::move(s.data));
         // The report block reads only the base-rate attribution, which
-        // is identical whatever the export mode — figXX.json stays
-        // byte-identical across --pathtrace=off/sampled/full.
+        // is identical with the export on or off — figXX.json stays
+        // byte-identical across --pathtrace=off/full.
         for (auto &[label, snap] : c.path_snaps_) {
             rep_.addPathStages(label, snap);
             path_cases_.emplace_back(label, std::move(snap));
@@ -166,9 +158,9 @@ FigReport::writePerfSidecar(const std::string &path) const
     w.kv("schema", "sriov-bench-perf/v1");
     w.kv("bench", opts_.bench());
     w.kv("jobs", std::uint64_t(opts_.jobs()));
-    w.kv("thin", !opts_.noThin());
-    w.kv("shards", std::uint64_t(opts_.shards()));
-    w.kv("fluid", opts_.fluid());
+    w.kv("thin", opts_.run().thin);
+    w.kv("shards", std::uint64_t(opts_.run().shards));
+    w.kv("fluid", opts_.run().fluid != sim::FluidMode::Off);
     w.kv("fluid_mode", opts_.fluidModeName());
     std::uint64_t total_events = 0;
     std::uint64_t total_packets = 0;
@@ -229,12 +221,35 @@ FigReport::writePerfSidecar(const std::string &path) const
 }
 
 void
+FigReport::writeTrace()
+{
+    const bool flows = opts_.run().pathtrace && !path_cases_.empty();
+    const std::string path = opts_.tracePath();
+    if (path.empty() || !(trace_done_ || flows))
+        return;
+    if (flows) {
+        // The flows get a budget of their own beside the CPU spans,
+        // which usually fill theirs.
+        trace_.addBudget(obs::ChromeTraceWriter::kDefaultMaxEvents);
+        for (const auto &[label, snap] : path_cases_)
+            obs::exportPathFlows(trace_, label, snap);
+    }
+    if (trace_.writeTo(path)) {
+        std::printf("trace: wrote %s (%zu events, %zu tracks)\n",
+                    path.c_str(), trace_.eventCount(), trace_.trackCount());
+    } else {
+        std::fprintf(stderr, "trace: FAILED to write %s\n", path.c_str());
+    }
+}
+
+void
 FigReport::writePathArtifacts()
 {
     if (path_cases_.empty())
         return;
-    // Requested export: the full trail/ring dump plus Perfetto flows.
-    if (opts_.wantPathTrace()) {
+    // Requested export: the full trail/ring dump (its Perfetto flows
+    // went into the trace).
+    if (opts_.run().pathtrace) {
         std::string path = opts_.pathtracePath();
         if (obs::writePathTraceFile(path, opts_.bench(), "trace",
                                     path_cases_)) {
@@ -243,17 +258,6 @@ FigReport::writePathArtifacts()
         } else {
             std::fprintf(stderr, "pathtrace: FAILED to write %s\n",
                          path.c_str());
-        }
-        obs::ChromeTraceWriter w;
-        for (const auto &[label, snap] : path_cases_)
-            obs::exportPathFlows(w, label, snap);
-        std::string fpath = opts_.pathtraceFlowsPath();
-        if (w.writeTo(fpath)) {
-            std::printf("pathtrace: wrote %s (%zu events)\n",
-                        fpath.c_str(), w.eventCount());
-        } else {
-            std::fprintf(stderr, "pathtrace: FAILED to write %s\n",
-                         fpath.c_str());
         }
     }
     // Flight recorder: a report out of band dumps the always-on
@@ -274,6 +278,7 @@ FigReport::writePathArtifacts()
 int
 FigReport::finish()
 {
+    writeTrace();
     if (!opts_.wantReport())
         return 0;
     std::string path = opts_.reportPath();

@@ -17,6 +17,7 @@
 
 #include "core/testbed.hpp"
 #include "obs/bench_options.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/report.hpp"
 
 namespace sriov::core {
@@ -55,9 +56,9 @@ class FigCase
 
     /**
      * Run @p fn, accumulating wall time and @p tb's executed events.
-     * Under --trace, the first drive of the sweep's first case is
-     * captured as a Chrome trace of @p tb (CPU work spans + tagged
-     * events, one event track per island) and written to disk.
+     * Under --trace, the first drive of the sweep's first case draws
+     * @p tb (CPU work spans + tagged events, one event track per
+     * island) into the run's Chrome trace, which finish() writes.
      */
     void drive(Testbed &tb, const std::function<void()> &fn);
 
@@ -87,9 +88,9 @@ class FigCase
     double sim_s_ = 0;
     /** Warp stats after the last drive (all-zero when fluid off). */
     sim::FluidStats fluid_;
-    /** Where the next drive writes its Chrome trace; empty when it
+    /** The run's Chrome trace, for the next drive only; null when it
      *  runs untraced. */
-    std::string trace_path_;
+    obs::ChromeTraceWriter *trace_ = nullptr;
 };
 
 /**
@@ -157,8 +158,9 @@ class FigReport
                  double wall_s);
 
     /**
-     * Write the report (and the <bench>.perf.json host-performance
-     * sidecar) if requested; returns the process exit code.
+     * Write the Chrome trace, the report and the <bench>.perf.json
+     * host-performance sidecar, as requested; returns the process exit
+     * code.
      */
     int finish();
 
@@ -177,6 +179,7 @@ class FigReport
     };
 
     bool writePerfSidecar(const std::string &path) const;
+    void writeTrace();
     void writePathArtifacts();
 
     obs::BenchOptions opts_;
@@ -185,6 +188,10 @@ class FigReport
     /** Per-snapshot path-tracer captures, for the pathtrace/flightrec
      *  artifacts (report path_stages blocks are added as they land). */
     std::vector<std::pair<std::string, obs::PathSnapshot>> path_cases_;
+    /** The run's one Perfetto file (<bench>.trace.json): the first
+     *  case's CPU spans under --trace, then every case's path-trace
+     *  flows under --pathtrace. */
+    obs::ChromeTraceWriter trace_;
     bool trace_done_ = false;
 };
 

@@ -8,7 +8,7 @@ namespace sriov::core {
 Testbed::Testbed(Params p) : params_(std::move(p))
 {
     build();
-    if (sim::fluidEnabled())
+    if (params_.run.fluid != sim::FluidMode::Off)
         buildFluid();
 }
 
@@ -81,7 +81,8 @@ Testbed::build()
     // The partition: one island for the whole machine, or (--shards)
     // a server slice and a client island per port, plus the ToR relay
     // island for a rack.
-    const bool parted = sim::shardCount() != 0;
+    const unsigned shards = params_.run.shards;
+    const bool parted = shards != 0;
     if (parted && params_.use_vmdq_nic)
         sim::fatal("sharded testbed: the VMDq topology has no island "
                    "partition (use --shards=0)");
@@ -102,12 +103,15 @@ Testbed::build()
     // count. Tracers exist before any component, so registration order
     // (and every artifact built from it) is build order. On a partition
     // each island stamps into its own tracer in shard-half mode, and
-    // pathSnapshot() joins the halves by trace id.
-    engine_ = std::make_unique<sim::ShardEngine>(
-        parted ? sim::shardCount() : 1);
+    // pathSnapshot() joins the halves by trace id. Every island gets
+    // the run's thinning bit and export switch, so everything built on
+    // it shares one schedule.
+    engine_ = std::make_unique<sim::ShardEngine>(parted ? shards : 1);
+    obs::PathTracer::Params tp;
+    tp.full = params_.run.pathtrace;
     for (unsigned k = 0; k < islands; ++k) {
-        queues_.push_back(std::make_unique<sim::EventQueue>());
-        tracers_.push_back(std::make_unique<obs::PathTracer>());
+        queues_.push_back(std::make_unique<sim::EventQueue>(params_.run.thin));
+        tracers_.push_back(std::make_unique<obs::PathTracer>(tp));
         tracers_.back()->setShardHalf(parted);
         engine_->addIsland(*queues_.back());
     }
@@ -319,7 +323,7 @@ Testbed::buildFluid()
         island_ledgers_.push_back(std::make_unique<sim::FlowLedger>());
         engine_->setIslandLedger(i, island_ledgers_.back().get());
     }
-    if (sim::fluidMode() != sim::FluidMode::On)
+    if (params_.run.fluid != sim::FluidMode::On)
         return;
     // CPU work submitted by netback captures whole frame batches in
     // its completion closures — state a warp cannot rewrite — so the

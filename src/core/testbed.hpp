@@ -16,18 +16,18 @@
  * next VF — exactly VF_{7j+n} of the paper.
  *
  * One builder lays the machines out over a partition into islands
- * (each an EventQueue and a path tracer), read from sim::shardCount()
- * at construction (DESIGN.md §13):
- *  - shardCount() == 0: one island holds one server and one client
+ * (each an EventQueue and a path tracer), chosen by Params::run.shards
+ * (DESIGN.md §13):
+ *  - shards == 0: one island holds one server and one client
  *    machine — every port, guest and wire on one queue.
- *  - shardCount() >= 1: every port becomes a server slice (its own
+ *  - shards >= 1: every port becomes a server slice (its own
  *    hypervisor, dom0 kernel and IOV manager, owning that port's NIC,
  *    PF driver and guests) and a client island (hypervisor, netperf
  *    peer); a rack (Params::num_hosts > 1) adds one top-of-rack relay
  *    island. Island order is fixed (slices 0..P-1, clients P..2P-1,
  *    then the ToR), so orderDigest()/pathSnapshot() are byte-identical
  *    for every shard count >= 1.
- * A sim::ShardEngine runs the islands on up to shardCount() worker
+ * A sim::ShardEngine runs the islands on up to `shards` worker
  * threads (one island: just the queue). Wires are the only
  * cross-island edges, and their propagation delay follows from the
  * partition: 500 ns (a 100 m patch cable) inside an island, 5 us
@@ -57,11 +57,11 @@
 #include "guest/bonding.hpp"
 #include "guest/netperf.hpp"
 #include "nic/vmdq_nic.hpp"
+#include "obs/bench_options.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/histogram.hpp"
 #include "obs/metric.hpp"
 #include "obs/pathtrace.hpp"
-#include "sim/shard.hpp"
 #include "sim/shard_engine.hpp"
 #include "vmm/migration.hpp"
 
@@ -99,6 +99,10 @@ class Testbed
         bool use_vmdq_nic = false;     ///< single 82598 instead of ports
         mem::Addr guest_mem = 128ull << 20;
         std::size_t ap_bufs = guest::SocketBuffer::kDefaultApBufs;
+        /** How this testbed runs: thinning, partition, fluid mode and
+         *  path-trace export. Defaults to the bench's flags (see
+         *  obs::defaultRunConfig()). */
+        obs::RunConfig run = obs::defaultRunConfig();
     };
 
     struct Guest
@@ -138,7 +142,7 @@ class Testbed
     vmm::Hypervisor &client();
     IovManager &iovm();
     vmm::MigrationManager &migration();
-    /** Partitioned into per-port islands (--shards >= 1). */
+    /** Partitioned into per-port islands (run.shards >= 1). */
     bool sharded() const { return queues_.size() > 1; }
     /** The engine running the islands (just one without --shards). */
     sim::ShardEngine &shardEngine() { return *engine_; }
@@ -279,9 +283,9 @@ class Testbed
     /**
      * The single island's causal packet-path tracer (fatal on a
      * partitioned testbed; use pathSnapshot()). Every island has one,
-     * wired into its datapath components at construction; the global
-     * obs::pathTraceMode() (sampled at construction) decides how much
-     * it keeps. Snapshot it after a run for attribution/trails.
+     * wired into its datapath components at construction;
+     * Params::run.pathtrace decides how much it keeps. Snapshot it
+     * after a run for attribution/trails.
      */
     const obs::PathTracer &pathTracer() const;
 
@@ -291,7 +295,7 @@ class Testbed
      * @name Fluid (flow-level) mode (sim/fluid.hpp,
      * core/warp_coordinator.hpp).
      *
-     * With sim::fluidEnabled() at construction every island gets its
+     * With Params::run.fluid Exact or On every island gets its
      * own FlowLedger, which is the executing thread's fluidLedger()
      * while that island runs: senders and NIC raise streams feed it.
      * In FluidMode::On a WarpCoordinator drives the engine: run() goes

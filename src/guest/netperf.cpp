@@ -5,7 +5,6 @@
 
 #include "sim/fluid.hpp"
 #include "sim/log.hpp"
-#include "sim/thinning.hpp"
 
 namespace sriov::guest {
 
@@ -89,7 +88,7 @@ TcpStreamSender::TcpStreamSender(sim::EventQueue &eq, NetStack &stack,
                                  std::uint32_t window_bytes,
                                  std::uint32_t payload, std::uint32_t flow)
     : eq_(eq), stack_(stack), dst_(dst), window_(window_bytes),
-      payload_(payload), flow_(flow), thin_(sim::thinningEnabled()),
+      payload_(payload), flow_(flow), thin_(eq.thin()),
       rto_timer_(eq, "netperf.rto")
 {
     stack_.setAckListener([this](std::uint64_t cum) { onAck(cum); });

@@ -4,13 +4,12 @@
 #include <utility>
 
 #include "sim/log.hpp"
-#include "sim/thinning.hpp"
 
 namespace sriov::mem {
 
 DmaEngine::DmaEngine(sim::EventQueue &eq, std::string name, Params p)
     : eq_(eq), name_(std::move(name)), params_(p),
-      thin_(sim::thinningEnabled())
+      thin_(eq.thin())
 {
     if (params_.link_bps <= 0)
         sim::fatal("DmaEngine %s: bad link rate", name_.c_str());

@@ -8,9 +8,9 @@
  * port crosses the link twice (memory → NIC FIFO → memory), which is
  * what caps it near 2.8 Gb/s in paper Section 6.3.
  *
- * Thin mode (default, see sim/thinning.hpp): the FIFO is strict and
- * service times are deterministic, so each transfer's completion
- * instant is known at submit time — the completion callback is
+ * Thin mode (the queue's default, sim::EventQueue::thin()): the FIFO is
+ * strict and service times are deterministic, so each transfer's
+ * completion instant is known at submit time — the completion callback is
  * scheduled directly at that instant (one event per transfer, no
  * start/finish bookkeeping events), and reserve() exposes the instant
  * to callers that can settle their own accounting analytically and

@@ -1,14 +1,13 @@
 #include "nic/sriov_nic.hpp"
 
 #include "sim/log.hpp"
-#include "sim/thinning.hpp"
 
 namespace sriov::nic {
 
 NicPort::NicPort(sim::EventQueue &eq, std::string name, pci::Bdf pf_bdf,
                  Params p, unsigned num_pools)
     : eq_(eq), name_(std::move(name)), params_(p),
-      thin_(sim::thinningEnabled()), dma_(eq, name_ + ".dma", p.dma)
+      thin_(eq.thin()), dma_(eq, name_ + ".dma", p.dma)
 {
     auto pf = std::make_unique<pci::PciFunction>(
         pf_bdf, p.vendor_id, p.pf_device_id, 0x020000,
@@ -127,28 +126,26 @@ NicPort::setItr(Pool pool, double hz)
         sim::fluidTransitionAll(sim::FluidTransition::ItrChange);
     ps.itr_hz = hz;
 
-    // Fluid mode: snap the throttle window onto the sender emission
-    // grid. 1/hz is an arbitrary picosecond value, so the raise
-    // cadence it induces is incommensurate with the send grid and the
-    // combined schedule has no usable hyperperiod; rounding the window
-    // to the nearest whole number of grid ticks (at most a half-tick
-    // perturbation, and only when that stays within 2x of the asked
-    // window) gives the coordinator a finite period to verify against.
+    // Fluid mode (the running island has a ledger only then): snap the
+    // throttle window onto the sender emission grid. 1/hz is an
+    // arbitrary picosecond value, so the raise cadence it induces is
+    // incommensurate with the send grid and the combined schedule has
+    // no usable hyperperiod; rounding the window to the nearest whole
+    // number of grid ticks (at most a half-tick perturbation, and only
+    // when that stays within 2x of the asked window) gives the
+    // coordinator a finite period to verify against.
     // Interrupt-rate-derived metrics are tolerance-banded under fluid
     // for exactly this reason (DESIGN.md section 14).
     sim::Time prev_window = ps.itr_window;
     ps.itr_window = sim::Time();
-    if (hz > 0 && sim::fluidEnabled()) {
-        if (sim::FlowLedger *l = sim::fluidLedger()) {
-            sim::Time grid = l->sourcePeriod();
-            if (grid > sim::Time()) {
-                std::int64_t w = sim::Time::seconds(1.0 / hz).picos();
-                std::int64_t g = grid.picos();
-                std::int64_t k = std::max<std::int64_t>(1, (w + g / 2) / g);
-                if (k * g <= 2 * w)
-                    ps.itr_window = sim::Time::ps(k * g);
-            }
-        }
+    sim::FlowLedger *l = hz > 0 ? sim::fluidLedger() : nullptr;
+    sim::Time grid = l != nullptr ? l->sourcePeriod() : sim::Time();
+    if (grid > sim::Time()) {
+        std::int64_t w = sim::Time::seconds(1.0 / hz).picos();
+        std::int64_t g = grid.picos();
+        std::int64_t k = std::max<std::int64_t>(1, (w + g / 2) / g);
+        if (k * g <= 2 * w)
+            ps.itr_window = sim::Time::ps(k * g);
     }
     if (ps.itr_window != prev_window)
         sim::fluidTransitionAll(sim::FluidTransition::ItrChange);

@@ -3,12 +3,11 @@
 #include <algorithm>
 
 #include "sim/log.hpp"
-#include "sim/thinning.hpp"
 
 namespace sriov::nic {
 
 Wire::Wire(sim::EventQueue &eq, Params p)
-    : params_(p), thin_(sim::thinningEnabled()), eq_side_{&eq, &eq}
+    : params_(p), thin_(eq.thin()), eq_side_{&eq, &eq}
 {
     if (params_.line_bps <= 0)
         sim::fatal("wire: bad line rate");
@@ -19,7 +18,7 @@ Wire::Wire(sim::EventQueue &eq) : Wire(eq, Params{}) {}
 Wire::Wire(sim::EventQueue &eq_a, sim::EventQueue &eq_b,
            sim::ShardEngine &engine, unsigned island_a, unsigned island_b,
            Params p)
-    : params_(p), thin_(sim::thinningEnabled()), sharded_(true),
+    : params_(p), thin_(eq_a.thin()), sharded_(true),
       eq_side_{&eq_a, &eq_b}
 {
     if (params_.line_bps <= 0)

@@ -5,14 +5,13 @@
 #include <cstring>
 #include <limits>
 
-#include "obs/pathtrace.hpp"
-#include "sim/fluid.hpp"
-#include "sim/shard.hpp"
-#include "sim/thinning.hpp"
-
 namespace sriov::obs {
 
 namespace {
+
+/** What a default-constructed core::Testbed::Params copies: written
+ *  only by BenchOptions::parse(), before the bench builds a testbed. */
+RunConfig g_default_run;
 
 /** "--out=dir" → "dir"; nullptr when @p arg isn't @p flag. */
 const char *
@@ -80,45 +79,28 @@ parseFluid(const char *s, sim::FluidMode *out)
 }
 
 /** "--pathtrace" values: bare "--pathtrace", "1" and "full" keep every
- *  trail; "sampled"; "off"/"0" turn the export off. */
+ *  trail; "off"/"0" turn the export off. */
 bool
-parsePathTraceMode(const char *s, PathTraceMode *out, bool *requested)
+parsePathTrace(const char *s, bool *out)
 {
-    *requested = true;
     if (*s == '\0' || std::strcmp(s, "1") == 0
-        || std::strcmp(s, "full") == 0) {
-        *out = PathTraceMode::Full;
-    } else if (std::strcmp(s, "sampled") == 0) {
-        *out = PathTraceMode::Sampled;
-    } else if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0) {
-        *out = PathTraceMode::Off;
-        *requested = false;
-    } else {
+        || std::strcmp(s, "full") == 0)
+        *out = true;
+    else if (std::strcmp(s, "off") == 0 || std::strcmp(s, "0") == 0)
+        *out = false;
+    else
         return false;
-    }
     return true;
 }
 
-/** A set, non-empty environment variable, else nullptr. */
-const char *
-envValue(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && *v != '\0' ? v : nullptr;
-}
-
 /** A mode value that does not parse is an error, not a default: name
- *  the flag (and the variable it came from), print the usage text and
- *  exit 2. */
+ *  the flag, print the usage text and exit 2. */
 [[noreturn]] void
 rejectValue(const std::string &bench, const std::vector<std::string> &flags,
-            const char *flag, const char *value, const char *env)
+            const char *flag, const char *value)
 {
-    std::fprintf(stderr, "%s: invalid %s value '%s'", bench.c_str(), flag,
-                 value);
-    if (env != nullptr)
-        std::fprintf(stderr, " (from %s)", env);
-    std::fprintf(stderr, "\n%s", BenchOptions::usage(bench, flags).c_str());
+    std::fprintf(stderr, "%s: invalid %s value '%s'\n%s", bench.c_str(),
+                 flag, value, BenchOptions::usage(bench, flags).c_str());
     std::exit(2);
 }
 
@@ -145,6 +127,12 @@ declared(const std::vector<std::string> &flags, const char *arg)
 
 } // namespace
 
+RunConfig
+defaultRunConfig()
+{
+    return g_default_run;
+}
+
 BenchOptions
 BenchOptions::parse(int argc, char **argv, const std::string &bench,
                     const std::vector<std::string> &flags)
@@ -152,29 +140,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
     BenchOptions o;
     o.bench_ = bench;
     o.flags_ = flags;
-
-    if (const char *env = envValue("SRIOV_BENCH_OUT"))
-        o.out_dir_ = env;
-    if (const char *env = envValue("SRIOV_TRACE");
-        env != nullptr && !parseTrace(env, &o.trace_requested_))
-        rejectValue(bench, flags, "--trace", env, "SRIOV_TRACE");
-    if (const char *env = envValue("SRIOV_BENCH_JOBS");
-        env != nullptr && !parsePositive(env, &o.jobs_))
-        rejectValue(bench, flags, "--jobs", env, "SRIOV_BENCH_JOBS");
-    if (const char *env = envValue("SRIOV_NO_THIN");
-        env != nullptr && std::strcmp(env, "0") != 0)
-        o.no_thin_ = true;
-    if (const char *env = envValue("SRIOV_SHARDS");
-        env != nullptr && !parseCount(env, &o.shards_))
-        rejectValue(bench, flags, "--shards", env, "SRIOV_SHARDS");
-    if (const char *env = envValue("SRIOV_FLUID");
-        env != nullptr && !parseFluid(env, &o.fluid_mode_))
-        rejectValue(bench, flags, "--fluid", env, "SRIOV_FLUID");
-    PathTraceMode pt_mode = PathTraceMode::Off;
-    if (const char *env = envValue("SRIOV_PATHTRACE");
-        env != nullptr
-        && !parsePathTraceMode(env, &pt_mode, &o.pathtrace_requested_))
-        rejectValue(bench, flags, "--pathtrace", env, "SRIOV_PATHTRACE");
+    RunConfig &run = o.run_;
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -182,27 +148,27 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
             o.out_dir_ = v;
         } else if (const char *v = matchFlag(arg, "--jobs")) {
             if (!parsePositive(v, &o.jobs_))
-                rejectValue(bench, flags, "--jobs", v, nullptr);
+                rejectValue(bench, flags, "--jobs", v);
         } else if (const char *v = matchFlag(arg, "--trace")) {
             if (!parseTrace(v, &o.trace_requested_))
-                rejectValue(bench, flags, "--trace", v, nullptr);
+                rejectValue(bench, flags, "--trace", v);
         } else if (std::strcmp(arg, "--trace") == 0) {
             o.trace_requested_ = true;
         } else if (std::strcmp(arg, "--no-thin") == 0) {
-            o.no_thin_ = true;
+            run.thin = false;
         } else if (const char *v = matchFlag(arg, "--shards")) {
-            if (!parseCount(v, &o.shards_))
-                rejectValue(bench, flags, "--shards", v, nullptr);
+            if (!parseCount(v, &run.shards))
+                rejectValue(bench, flags, "--shards", v);
         } else if (const char *v = matchFlag(arg, "--fluid")) {
-            if (!parseFluid(v, &o.fluid_mode_))
-                rejectValue(bench, flags, "--fluid", v, nullptr);
+            if (!parseFluid(v, &run.fluid))
+                rejectValue(bench, flags, "--fluid", v);
         } else if (std::strcmp(arg, "--fluid") == 0) {
-            o.fluid_mode_ = sim::FluidMode::On;
+            run.fluid = sim::FluidMode::On;
         } else if (const char *v = matchFlag(arg, "--pathtrace")) {
-            if (!parsePathTraceMode(v, &pt_mode, &o.pathtrace_requested_))
-                rejectValue(bench, flags, "--pathtrace", v, nullptr);
+            if (!parsePathTrace(v, &run.pathtrace))
+                rejectValue(bench, flags, "--pathtrace", v);
         } else if (std::strcmp(arg, "--pathtrace") == 0) {
-            parsePathTraceMode("", &pt_mode, &o.pathtrace_requested_);
+            run.pathtrace = true;
         } else if (std::strcmp(arg, "--help") == 0
                    || std::strcmp(arg, "-h") == 0) {
             o.help_ = true;
@@ -212,12 +178,7 @@ BenchOptions::parse(int argc, char **argv, const std::string &bench,
             rejectArg(bench, flags, arg);
         }
     }
-    // Must happen before any testbed is built: components sample the
-    // global switches at construction.
-    sim::setThinning(!o.no_thin_);
-    sim::setShardCount(o.shards_);
-    sim::setFluidMode(o.fluid_mode_);
-    setPathTraceMode(pt_mode);
+    g_default_run = run;
     return o;
 }
 
@@ -235,25 +196,20 @@ BenchOptions::usage(const std::string &bench,
     }
     return "usage: " + bench + " [options]\n" + own
            + "  --out=<dir>    write " + bench + ".json report into <dir>\n"
-           "                 (env fallback: SRIOV_BENCH_OUT)\n"
            "  --trace[=1|0]  capture a Chrome trace_event JSON of the\n"
            "                 first case (CPU work spans and tagged\n"
            "                 events) as <out|.>/" + bench + ".trace.json\n"
-           "                 (env fallback: SRIOV_TRACE)\n"
            "  --jobs=<n>     run independent sweep cases on <n> host\n"
            "                 threads; results and reports are identical\n"
            "                 to --jobs=1, just faster\n"
-           "                 (env fallback: SRIOV_BENCH_JOBS)\n"
            "  --no-thin      exact event-per-hop simulation instead of\n"
            "                 the default burst-coalesced event thinning;\n"
            "                 reports are byte-identical, runs slower\n"
-           "                 (env fallback: SRIOV_NO_THIN)\n"
            "  --shards=<n>   partition the testbed into per-port islands\n"
            "                 run by the conservative shard engine on up\n"
            "                 to <n> worker threads (0 = one island,\n"
            "                 the default; n=1 = sequential oracle).\n"
            "                 Reports are byte-identical for every n >= 1\n"
-           "                 (env fallback: SRIOV_SHARDS)\n"
            "  --fluid[=on|exact|off]\n"
            "                 hybrid fluid/packet mode: warp over\n"
            "                 provably periodic steady-state stretches\n"
@@ -263,15 +219,13 @@ BenchOptions::usage(const std::string &bench,
            "                 integer counters match \"on\" exactly;\n"
            "                 see DESIGN.md §14). Off by default;\n"
            "                 composes with --jobs and --shards\n"
-           "                 (env fallback: SRIOV_FLUID)\n"
-           "  --pathtrace[=off|sampled|full]\n"
+           "  --pathtrace[=off|full]\n"
            "                 causal packet-path tracing: writes " + bench
                + ".pathtrace.json\n"
-           "                 (+ .pathtrace.trace.json Perfetto flows)\n"
-           "                 next to the report. Non-perturbing: the\n"
-           "                 report and event digest are byte-identical\n"
-           "                 in every mode (env fallback:\n"
-           "                 SRIOV_PATHTRACE)\n"
+           "                 next to the report and its Perfetto flows\n"
+           "                 into " + bench + ".trace.json. Non-perturbing:\n"
+           "                 the report and event digest are\n"
+           "                 byte-identical either way\n"
            "  --help         this text\n";
 }
 
@@ -282,7 +236,7 @@ BenchOptions::countArg(const std::string &flag, unsigned dflt) const
     for (const std::string &a : extra_) {
         const char *v = matchFlag(a.c_str(), flag.c_str());
         if (v != nullptr && !parsePositive(v, &n))
-            rejectValue(bench_, flags_, flag.c_str(), v, nullptr);
+            rejectValue(bench_, flags_, flag.c_str(), v);
     }
     return n;
 }
@@ -290,7 +244,7 @@ BenchOptions::countArg(const std::string &flag, unsigned dflt) const
 const char *
 BenchOptions::fluidModeName() const
 {
-    switch (fluid_mode_) {
+    switch (run_.fluid) {
     case sim::FluidMode::Off: break;
     case sim::FluidMode::Exact: return "exact";
     case sim::FluidMode::On: return "on";
@@ -332,17 +286,6 @@ BenchOptions::pathtracePath() const
 }
 
 std::string
-BenchOptions::pathtraceFlowsPath() const
-{
-    if (out_dir_.empty())
-        return "";
-    std::string p = out_dir_;
-    if (p.back() != '/')
-        p += '/';
-    return p + bench_ + ".pathtrace.trace.json";
-}
-
-std::string
 BenchOptions::flightrecPath() const
 {
     if (out_dir_.empty())
@@ -356,7 +299,7 @@ BenchOptions::flightrecPath() const
 std::string
 BenchOptions::tracePath() const
 {
-    if (!trace_requested_)
+    if (!trace_requested_ && !(run_.pathtrace && wantReport()))
         return "";
     std::string dir = out_dir_.empty() ? std::string(".") : out_dir_;
     if (dir.back() != '/')

@@ -1,7 +1,7 @@
 /**
  * @file
- * BenchOptions: the shared CLI/environment contract of the bench
- * executables.
+ * BenchOptions: the shared command line of the bench executables, and
+ * RunConfig, the run mode it selects for every testbed.
  *
  * Every bench/figXX accepts:
  *   --out=<dir>    write a machine-readable report (figXX.json) there
@@ -12,10 +12,10 @@
  *                  (core::SweepRunner; default 1 = sequential, and
  *                  reports are byte-identical either way)
  *   --help         print usage and exit
- * with environment fallbacks SRIOV_BENCH_OUT, SRIOV_TRACE and
- * SRIOV_BENCH_JOBS so CI can turn on reporting without touching each
- * invocation. Any other argument exits 2, unless the bench declared
- * it to parse() (bench_longrun's --hosts=<n>).
+ * plus the RunConfig flags (--no-thin, --shards, --fluid, --pathtrace).
+ * Options come from argv only; the environment is not read. Any other
+ * argument exits 2, unless the bench declared it to parse()
+ * (bench_longrun's --hosts=<n>).
  */
 
 #ifndef SRIOV_OBS_BENCH_OPTIONS_HPP
@@ -28,18 +28,46 @@
 
 namespace sriov::obs {
 
+/**
+ * How one testbed runs. A core::Testbed owns its copy
+ * (Testbed::Params::run) and hands each island's share to what it
+ * builds: the thinning bit to the island's sim::EventQueue, the export
+ * switch to its PathTracer. No component reads a process-wide mode, so
+ * testbeds with different configs can run side by side.
+ */
+struct RunConfig
+{
+    /** Coalesced event schedule; --no-thin clears it (DESIGN.md §10). */
+    bool thin = true;
+    /** --shards=<n>: 0 = one island; n >= 1 = per-port islands run by
+     *  the shard engine on up to n threads (DESIGN.md §13). */
+    unsigned shards = 0;
+    /** --fluid=off|exact|on (DESIGN.md §14). */
+    sim::FluidMode fluid = sim::FluidMode::Off;
+    /** --pathtrace: every path tracer keeps every trail and the bench
+     *  writes the pathtrace artifacts (DESIGN.md §12). */
+    bool pathtrace = false;
+};
+
+/**
+ * The RunConfig the last BenchOptions::parse() read (the defaults
+ * before any parse). A default-constructed core::Testbed::Params
+ * copies it, so a bench's testbeds follow its flags.
+ */
+RunConfig defaultRunConfig();
+
 class BenchOptions
 {
   public:
     /**
-     * Parse argv (and the environment). @p flags names the bench's own
-     * `--name=<value>` flags ("--hosts"); those arguments are kept in
-     * extraArgs() for the bench to read. Any other unknown argument,
-     * and a value that --trace, --jobs, --shards, --fluid or
-     * --pathtrace (or its environment fallback) does not accept, is an
-     * error: parse() names it, prints the usage text to stderr and
-     * exits 2. @p bench is the figure name ("fig06") used to derive
-     * the report path.
+     * Parse argv. @p flags names the bench's own `--name=<value>` flags
+     * ("--hosts"); those arguments are kept in extraArgs() for the
+     * bench to read. Any other unknown argument, and a value that
+     * --trace, --jobs, --shards, --fluid or --pathtrace does not
+     * accept, is an error: parse() names it, prints the usage text to
+     * stderr and exits 2. @p bench is the figure name ("fig06") used
+     * to derive the report path. The parsed run() becomes the
+     * defaultRunConfig().
      */
     static BenchOptions parse(int argc, char **argv,
                               const std::string &bench,
@@ -58,49 +86,25 @@ class BenchOptions
     /** "<out_dir>/<bench>.json" (empty when reporting is off). */
     std::string reportPath() const;
 
-    /** --trace[=1|0] (env SRIOV_TRACE). */
+    /** --trace[=1|0]. */
     bool wantTrace() const { return trace_requested_; }
-    /** "<out|.>/<bench>.trace.json" (empty when tracing is off). */
+    /** "<out|.>/<bench>.trace.json" under --trace; "<out>/..." when
+     *  only --pathtrace has flows to write; empty otherwise. */
     std::string tracePath() const;
 
     /** Host threads for embarrassingly-parallel sweep cases (>= 1). */
     unsigned jobs() const { return jobs_; }
 
-    /** --no-thin: exact event-per-hop mode (parse() applies it to the
-     *  global sim::setThinning switch before any testbed exists). */
-    bool noThin() const { return no_thin_; }
-
-    /** --fluid[=on|exact|off] (env SRIOV_FLUID): flow-level fluid
-     *  mode — the testbed installs a core::WarpCoordinator that warps
-     *  over provably periodic steady-state stretches instead of
-     *  simulating every packet event (DESIGN.md §14). "exact" runs
-     *  the same fluid schedule without warping (the equivalence
-     *  reference). Off by default; --fluid=off preserves reports
-     *  bit-for-bit. parse() applies it to the global
-     *  sim::setFluidMode switch before any testbed exists. Composes
-     *  with --jobs=N and --shards=N (DESIGN.md §15). */
-    bool fluid() const { return fluid_mode_ != sim::FluidMode::Off; }
-    sim::FluidMode fluidMode() const { return fluid_mode_; }
+    /** The run mode: --no-thin, --shards, --fluid and --pathtrace. */
+    const RunConfig &run() const { return run_; }
     /** "off" | "exact" | "on" — for the perf sidecar. */
     const char *fluidModeName() const;
-
-    /** --shards=<n> (env SRIOV_SHARDS): island-partitioned testbeds
-     *  run by the conservative shard engine on up to <n> worker
-     *  threads (0 = one single-queue island). parse() applies it to
-     *  the global sim::setShardCount switch before any testbed exists;
-     *  reports are byte-identical for every n >= 1. */
-    unsigned shards() const { return shards_; }
 
     /** "<out_dir>/<bench>.perf.json" (empty when reporting is off). */
     std::string perfPath() const;
 
-    /** --pathtrace=off|sampled|full (env SRIOV_PATHTRACE); parse()
-     *  applies it to obs::setPathTraceMode before any testbed exists. */
-    bool wantPathTrace() const { return pathtrace_requested_; }
     /** "<out_dir>/<bench>.pathtrace.json" (empty when reporting off). */
     std::string pathtracePath() const;
-    /** "<out_dir>/<bench>.pathtrace.trace.json" — Perfetto flows. */
-    std::string pathtraceFlowsPath() const;
     /** "<out_dir>/<bench>.flightrec.json" — post-mortem dump. */
     std::string flightrecPath() const;
 
@@ -117,11 +121,8 @@ class BenchOptions
     std::string bench_;
     std::string out_dir_;
     unsigned jobs_ = 1;
-    unsigned shards_ = 0;
-    bool no_thin_ = false;
-    sim::FluidMode fluid_mode_ = sim::FluidMode::Off;
+    RunConfig run_;
     bool trace_requested_ = false;
-    bool pathtrace_requested_ = false;
     bool help_ = false;
     /** The bench's declared flags, for the usage countArg() prints. */
     std::vector<std::string> flags_;

@@ -83,6 +83,11 @@ class ChromeTraceWriter : public sim::CpuServer::SpanTap
     void onCpuSpan(const sim::CpuServer &cpu, const std::string &tag,
                    sim::Time start, sim::Time end) override;
 
+    /** Room for @p n events beyond those kept so far, so a second
+     *  source gets its own budget in the same file (drops already
+     *  counted stay counted). */
+    void addBudget(std::size_t n) { max_events_ = events_.size() + n; }
+
     std::size_t eventCount() const { return events_.size(); }
     std::uint64_t droppedEvents() const { return dropped_; }
     std::size_t trackCount() const { return tids_.size(); }

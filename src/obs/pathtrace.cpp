@@ -1,7 +1,6 @@
 #include "obs/pathtrace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -22,26 +21,6 @@ constexpr const char *kStageNames[] = {
 static_assert(sizeof(kStageNames) / sizeof(kStageNames[0])
                   == PathTracer::kStageCount,
               "stage name table out of sync with PathStage");
-
-// The export mode is process-global, set by BenchOptions::parse (or a
-// test scope) before any testbed exists and read once per tracer at
-// construction. Atomic only so concurrent sweep workers constructing
-// tracers read it cleanly under TSan; it is never flipped mid-run.
-std::atomic<int> g_mode{int(PathTraceMode::Off)};
-
-std::uint64_t
-exportMaskFor(PathTraceMode m)
-{
-    switch (m) {
-    case PathTraceMode::Off:
-        return PathTracer::kBaseSampleMask; // flight-recorder rate
-    case PathTraceMode::Sampled:
-        return 7; // 1 in 8
-    case PathTraceMode::Full:
-        return 0; // everything
-    }
-    return PathTracer::kBaseSampleMask;
-}
 
 double
 psToUs(std::int64_t ps)
@@ -81,36 +60,8 @@ pathStageFromName(std::string_view name)
     return PathStage::Count;
 }
 
-PathTraceMode
-pathTraceMode()
-{
-    return static_cast<PathTraceMode>(
-        g_mode.load(std::memory_order_relaxed));
-}
-
-void
-setPathTraceMode(PathTraceMode m)
-{
-    g_mode.store(int(m), std::memory_order_relaxed);
-}
-
-const char *
-pathTraceModeName(PathTraceMode m)
-{
-    switch (m) {
-    case PathTraceMode::Off:
-        return "off";
-    case PathTraceMode::Sampled:
-        return "sampled";
-    case PathTraceMode::Full:
-        return "full";
-    }
-    return "off";
-}
-
 PathTracer::PathTracer(Params p)
-    : mode_(pathTraceMode()),
-      export_mask_(exportMaskFor(mode_)),
+    : export_mask_(p.full ? 0 : kBaseSampleMask),
       ring_capacity_(std::max<std::size_t>(1, p.ring_capacity)),
       slot_mask_(0),
       total_hist_(0.125, 1.5, 48)
@@ -225,7 +176,7 @@ PathSnapshot
 PathTracer::snapshot() const
 {
     PathSnapshot snap;
-    snap.mode = pathTraceModeName(mode_);
+    snap.mode = export_mask_ == 0 ? "full" : "off";
     snap.export_mask = export_mask_;
     snap.base_mask = kBaseSampleMask;
     snap.records = records_;
@@ -271,7 +222,7 @@ PathTracer::mergeShards(const std::vector<const PathTracer *> &parts)
     PathSnapshot snap;
     if (parts.empty())
         return snap;
-    snap.mode = pathTraceModeName(parts[0]->mode_);
+    snap.mode = parts[0]->export_mask_ == 0 ? "full" : "off";
     snap.export_mask = parts[0]->export_mask_;
     snap.base_mask = kBaseSampleMask;
 

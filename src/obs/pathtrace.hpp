@@ -12,15 +12,15 @@
  * non-perturbing by construction: it never schedules events, never
  * touches a metric, and never consults wallclock or a RNG. CI holds it
  * to that: the golden fig06 digest and every figXX.json report must be
- * byte-identical with tracing off, sampled and full.
+ * byte-identical with the full export on and off.
  *
  * Three consumers sit on the raw records:
  *  - a stitcher that reconstructs per-packet trails and exports them
  *    as Perfetto flow events through ChromeTraceWriter;
  *  - a stage-latency attribution table (per-stage p50/p99 and
- *    share-of-total), fed at a fixed 1/64 base sampling rate whatever
- *    the export mode, so the path_stages block in figXX.json is
- *    byte-identical across modes;
+ *    share-of-total), fed at a fixed 1/64 base sampling rate whether
+ *    or not the full export is on, so the path_stages block in
+ *    figXX.json is byte-identical either way;
  *  - an always-on flight recorder: the last-N per-component rings are
  *    dumped whenever the InvariantChecker trips or a bench report goes
  *    out of band, so every failure ships its own post-mortem.
@@ -70,42 +70,6 @@ const char *pathStageName(PathStage s);
 /** Parse a pathStageName back; returns Count for unknown names. */
 PathStage pathStageFromName(std::string_view name);
 
-/**
- * Export mode: how much of the record stream is kept in the rings and
- * whether figXX.pathtrace.json artifacts are written. Attribution and
- * the flight recorder always run at the 1/64 base rate, so the mode
- * only widens what is exported — it cannot change a report byte.
- */
-enum class PathTraceMode : std::uint8_t
-{
-    Off,       ///< flight-recorder rate only; no pathtrace artifacts
-    Sampled,   ///< 1/8 of trace ids exported + artifacts written
-    Full       ///< every traced packet exported + artifacts written
-};
-
-/** Global export mode (default Off). Read once per tracer, at its
- *  construction — set it (via --pathtrace / SRIOV_PATHTRACE) before
- *  building a testbed, exactly like sim::setThinning. */
-PathTraceMode pathTraceMode();
-void setPathTraceMode(PathTraceMode m);
-const char *pathTraceModeName(PathTraceMode m);
-
-/** RAII override for tests: forces a mode, restores on destruction. */
-class PathTraceScope
-{
-  public:
-    explicit PathTraceScope(PathTraceMode m) : prev_(pathTraceMode())
-    {
-        setPathTraceMode(m);
-    }
-    ~PathTraceScope() { setPathTraceMode(prev_); }
-    PathTraceScope(const PathTraceScope &) = delete;
-    PathTraceScope &operator=(const PathTraceScope &) = delete;
-
-  private:
-    PathTraceMode prev_;
-};
-
 /** One fixed-size ring record. trace_id 0 marks an auxiliary record
  *  (component activity not tied to one packet, e.g. an MSI delivery
  *  observed at the interrupt router). */
@@ -145,7 +109,7 @@ struct PathCompDump
  */
 struct PathSnapshot
 {
-    std::string mode;               ///< export mode name at construction
+    std::string mode;               ///< "full" or "off" (Params::full)
     std::uint64_t export_mask = 0;  ///< id kept when (hash & mask) == 0
     std::uint64_t base_mask = 0;    ///< attribution/flight-recorder mask
     std::uint64_t records = 0;      ///< record() calls with a trace id
@@ -183,13 +147,19 @@ class PathTracer
     static constexpr unsigned kStageCount =
         static_cast<unsigned>(PathStage::Count);
     /** Base sampling: 1 in 64 trace ids feed attribution and the
-     *  flight recorder, in every mode. */
+     *  flight recorder, with the full export on or off. */
     static constexpr std::uint64_t kBaseSampleMask = 63;
 
     struct Params
     {
         std::size_t ring_capacity = 512; ///< records kept per component
         std::size_t slots = 4096;        ///< attribution table (pow-2)
+        /** Full export (--pathtrace): every traced packet's records go
+         *  into the rings and the bench writes the pathtrace artifacts.
+         *  Off, the rings keep the flight-recorder rate only. Either
+         *  way attribution runs at the base rate, so the export
+         *  cannot change a report byte. */
+        bool full = false;
     };
 
     PathTracer() : PathTracer(Params{}) {}
@@ -244,7 +214,6 @@ class PathTracer
         push(comp, 0, stage, when);
     }
 
-    PathTraceMode mode() const { return mode_; }
     std::uint64_t exportMask() const { return export_mask_; }
     std::uint64_t recordCount() const { return records_; }
     std::uint64_t completedCount() const { return completed_; }
@@ -299,7 +268,6 @@ class PathTracer
                sim::Time when);
     void finalize(Slot &s);
 
-    PathTraceMode mode_;
     bool shard_half_ = false;
     std::uint64_t export_mask_;
     std::size_t ring_capacity_;

@@ -139,13 +139,24 @@ class EventQueue
                                 const char *tag) = 0;
     };
 
-    EventQueue() = default;
+    /**
+     * @p thin picks the event schedule of every component built on
+     * this queue: coalesced bursts, DMA flow-through and deferred
+     * timers (the default), or one event per hop (--no-thin). It is
+     * fixed for the queue's life, so the components of one island
+     * cannot disagree; reports are byte-identical either way
+     * (DESIGN.md §10).
+     */
+    explicit EventQueue(bool thin = true) : thin_(thin) {}
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** Current simulated time. */
     Time now() const { return now_; }
+
+    /** Thinned schedule (see the constructor). */
+    bool thin() const { return thin_; }
 
     /**
      * Schedule callable @p f to run at absolute time @p when.
@@ -485,6 +496,7 @@ class EventQueue
     std::unordered_map<const void *, std::unique_ptr<TagInfo>> tags_;
     Observer *observer_ = nullptr;
     std::vector<ExecHook *> exec_hooks_;
+    bool thin_;
 };
 
 } // namespace sriov::sim

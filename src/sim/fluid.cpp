@@ -9,34 +9,9 @@
 namespace sriov::sim {
 
 namespace {
-FluidMode g_fluid_mode = FluidMode::Off;
 /** The executing island's ledger (ThreadLedgerScope); null outside. */
 thread_local FlowLedger *t_fluid_ledger = nullptr;
 } // namespace
-
-FluidMode
-fluidMode()
-{
-    return g_fluid_mode;
-}
-
-void
-setFluidMode(FluidMode m)
-{
-    g_fluid_mode = m;
-}
-
-bool
-fluidEnabled()
-{
-    return g_fluid_mode != FluidMode::Off;
-}
-
-void
-setFluid(bool enabled)
-{
-    g_fluid_mode = enabled ? FluidMode::On : FluidMode::Off;
-}
 
 FlowLedger *
 fluidLedger()

@@ -1,10 +1,10 @@
 /**
  * @file
- * Fluid (flow-level) simulation mode: the switch, the state-visitation
+ * Fluid (flow-level) simulation mode: the mode, the state-visitation
  * protocol and the per-flow steadiness ledger.
  *
- * Event thinning (sim/thinning.hpp) removes events *within* a burst;
- * fluid mode removes the bursts themselves. When every flow of a
+ * Event thinning (sim::EventQueue::thin()) removes events *within* a
+ * burst; fluid mode removes the bursts themselves. When every flow of a
  * testbed has settled into an exactly periodic schedule (CBR senders
  * on a fixed grid, the ITR raise pattern locked to it), the simulation
  * state S(t) satisfies S(t + P) = shift_P(S(t)) for the flow-group
@@ -24,11 +24,11 @@
  * approximation is floating-point cycle accumulators, whose per-period
  * deltas are verified to a relative epsilon rather than bit-equality).
  *
- * The switch is process-global and read at component construction,
- * exactly like thinning: benches set it via --fluid / SRIOV_FLUID
- * before building the testbed; tests use FluidScope. Default is OFF —
- * --fluid=off preserves the golden fig06 digest bit-for-bit because
- * nothing in the schedule changes.
+ * The mode is a field of each testbed's run configuration
+ * (obs::RunConfig::fluid, set by --fluid): a testbed in Exact or On
+ * gives every island a FlowLedger, and only On installs the
+ * core::WarpCoordinator. Off, the default, keeps the golden fig06
+ * digest bit-for-bit because nothing in the schedule changes.
  */
 
 #ifndef SRIOV_SIM_FLUID_HPP
@@ -43,7 +43,7 @@
 namespace sriov::sim {
 
 /**
- * The global fluid switch is three-valued:
+ * The fluid mode is three-valued:
  *
  *  - Off:   the seed schedule, untouched. Reports and the event-order
  *           digest are bit-for-bit those of a build without fluid.
@@ -62,37 +62,6 @@ namespace sriov::sim {
  * tolerance bands instead (DESIGN.md §14).
  */
 enum class FluidMode : std::uint8_t { Off, Exact, On };
-
-FluidMode fluidMode();
-
-/** Set the mode. Call before constructing components. */
-void setFluidMode(FluidMode m);
-
-/** Is fluid (flow-level) mode enabled (Exact or On)? */
-bool fluidEnabled();
-
-/** Bool shim: true = On, false = Off. */
-void setFluid(bool enabled);
-
-/** RAII override for tests: forces a mode, restores on destruction. */
-class FluidScope
-{
-  public:
-    explicit FluidScope(bool enabled) : prev_(fluidMode())
-    {
-        setFluid(enabled);
-    }
-    explicit FluidScope(FluidMode m) : prev_(fluidMode())
-    {
-        setFluidMode(m);
-    }
-    ~FluidScope() { setFluidMode(prev_); }
-    FluidScope(const FluidScope &) = delete;
-    FluidScope &operator=(const FluidScope &) = delete;
-
-  private:
-    FluidMode prev_;
-};
 
 /**
  * The state-visitation protocol of a fluid segment.

@@ -429,7 +429,8 @@ TEST(FigCaseSweep, TraceAndPerfFollowTheCaseList)
     std::vector<std::uint64_t> events;
     std::vector<std::thread::id> threads;
     std::string traced = sweepReportJson(
-        {"--out=" + dir.string(), "--trace", "--jobs=4"}, &events, &threads);
+        {"--out=" + dir.string(), "--trace", "--pathtrace", "--jobs=4"},
+        &events, &threads);
 
     // --trace forces one thread: every body ran on the calling thread.
     for (const std::thread::id &t : threads)
@@ -442,6 +443,15 @@ TEST(FigCaseSweep, TraceAndPerfFollowTheCaseList)
             traces.push_back(name);
     }
     EXPECT_EQ(traces, std::vector<std::string>{"figtest.trace.json"});
+    // One Perfetto file per run: every case's path-trace flows sit
+    // beside the first case's CPU spans.
+    std::ifstream tin(dir / "figtest.trace.json");
+    std::string trace((std::istreambuf_iterator<char>(tin)),
+                      std::istreambuf_iterator<char>());
+    EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+    EXPECT_NE(trace.find("\"ph\":\"s\""), std::string::npos);
+    for (const char *proc : {"pathtrace:1vm", "pathtrace:3vm"})
+        EXPECT_NE(trace.find(proc), std::string::npos) << proc;
 
     // One perf entry per case, in declaration order, each carrying its
     // testbed's executed events.

@@ -1,9 +1,8 @@
 // Tests for fluid (flow-level) simulation mode: the FlowLedger's
 // steadiness hysteresis and period arithmetic, the FluidVisitor
-// capture/verify/apply protocol, the global mode switch, and the
-// equivalence contract on a live testbed (--fluid=exact vs --fluid=on
-// share one schedule, so integer-derived measurements must agree
-// exactly).
+// capture/verify/apply protocol, and the equivalence contract on a
+// live testbed (--fluid=exact vs --fluid=on share one schedule, so
+// integer-derived measurements must agree exactly).
 
 #include <gtest/gtest.h>
 
@@ -379,34 +378,6 @@ TEST(FluidVisitor, ApplyWritesNPeriodsInClosedForm)
 }
 
 // ---------------------------------------------------------------------
-// Mode switch
-// ---------------------------------------------------------------------
-
-TEST(FluidMode, ScopeSetsAndRestores)
-{
-    ASSERT_EQ(sim::fluidMode(), FluidMode::Off);
-    {
-        sim::FluidScope on(FluidMode::On);
-        EXPECT_EQ(sim::fluidMode(), FluidMode::On);
-        EXPECT_TRUE(sim::fluidEnabled());
-        {
-            sim::FluidScope exact(FluidMode::Exact);
-            EXPECT_EQ(sim::fluidMode(), FluidMode::Exact);
-            EXPECT_TRUE(sim::fluidEnabled());
-        }
-        EXPECT_EQ(sim::fluidMode(), FluidMode::On);
-    }
-    EXPECT_EQ(sim::fluidMode(), FluidMode::Off);
-    EXPECT_FALSE(sim::fluidEnabled());
-
-    // The bool shim maps true/false onto On/Off.
-    sim::setFluid(true);
-    EXPECT_EQ(sim::fluidMode(), FluidMode::On);
-    sim::setFluid(false);
-    EXPECT_EQ(sim::fluidMode(), FluidMode::Off);
-}
-
-// ---------------------------------------------------------------------
 // The equivalence contract on a live testbed
 // ---------------------------------------------------------------------
 
@@ -419,14 +390,15 @@ struct RunResult
     Time warped;
 };
 
-/** A small 2-VM SR-IOV testbed driven for 4 simulated seconds in the
- *  current fluid mode. */
+/** A small 2-VM SR-IOV testbed driven for 4 simulated seconds in fluid
+ *  mode @p mode. */
 RunResult
-driveSmallTestbed()
+runSmallTestbed(FluidMode mode)
 {
     core::Testbed::Params p;
     p.num_ports = 1;
     p.itr = "adaptive";
+    p.run.fluid = mode;
     core::Testbed tb(p);
     for (unsigned i = 0; i < 2; ++i) {
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
@@ -441,13 +413,6 @@ driveSmallTestbed()
         r.warped = fs->warped;
     }
     return r;
-}
-
-RunResult
-runSmallTestbed(FluidMode mode)
-{
-    sim::FluidScope scope(mode);
-    return driveSmallTestbed();
 }
 
 } // namespace
@@ -469,9 +434,9 @@ TEST(FluidEquivalence, WarpedRunMatchesExactScheduleByteForByte)
 
 TEST(FluidEquivalence, OffModeInstallsNothing)
 {
-    sim::FluidScope scope(FluidMode::Off);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.fluid = FluidMode::Off;
     core::Testbed tb(p);
     EXPECT_EQ(tb.warpCoordinator(), nullptr);
     EXPECT_EQ(tb.shardEngine().islandLedger(0), nullptr);
@@ -479,9 +444,9 @@ TEST(FluidEquivalence, OffModeInstallsNothing)
 
 TEST(FluidEquivalence, LedgerBelongsToTheRunningIsland)
 {
-    sim::FluidScope scope(FluidMode::Exact);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.fluid = FluidMode::Exact;
     core::Testbed tb(p);
     auto &g = tb.addGuest(vmm::DomainType::Hvm,
                           core::Testbed::NetMode::Sriov);
@@ -503,10 +468,9 @@ TEST(FluidEquivalence, ConcurrentTestbedsKeepSeparateLedgers)
     // matches its sequential run.
     RunResult solo = runSmallTestbed(FluidMode::On);
     ASSERT_GT(solo.segments, 0u);
-    sim::FluidScope scope(FluidMode::On);
     std::vector<RunResult> par(2);
     core::SweepRunner(2).run(par.size(), [&par](std::size_t i) {
-        par[i] = driveSmallTestbed();
+        par[i] = runSmallTestbed(FluidMode::On);
     });
     for (const RunResult &r : par) {
         EXPECT_EQ(r.segments, solo.segments);

@@ -9,13 +9,12 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.hpp"
+#include "core/sweep_runner.hpp"
 #include "core/testbed.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/metric.hpp"
 #include "obs/pathtrace.hpp"
 #include "sim/log.hpp"
-#include "sim/shard.hpp"
-#include "sim/thinning.hpp"
 
 using namespace sriov;
 using namespace sriov::core;
@@ -323,10 +322,11 @@ TEST(Integration, ObservabilityDoesNotPerturbDeterminism)
         std::uint64_t executed;
         double goodput;
     };
-    auto run = [](bool obs_on) {
+    auto run = [](unsigned shards, bool obs_on) {
         Testbed::Params p;
         p.num_ports = 2;
         p.opts = OptimizationSet::all();
+        p.run.shards = shards;
         Testbed tb(p);
         obs::MetricRegistry reg;
         obs::ChromeTraceWriter trace;
@@ -347,9 +347,8 @@ TEST(Integration, ObservabilityDoesNotPerturbDeterminism)
     };
     for (unsigned shards : {0u, 1u, 4u}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        sim::ShardScope scope(shards);
-        auto off = run(false);
-        auto on = run(true);
+        auto off = run(shards, false);
+        auto on = run(shards, true);
         EXPECT_EQ(on.digest, off.digest);
         EXPECT_EQ(on.executed, off.executed);
         EXPECT_DOUBLE_EQ(on.goodput, off.goodput);
@@ -391,11 +390,11 @@ TEST(Integration, GoldenDigestFig06SmokeIsPinned)
     for (const Pin &pin : pins) {
         SCOPED_TRACE("shards=" + std::to_string(pin.shards)
                      + " hosts=" + std::to_string(pin.hosts));
-        sim::ShardScope shards(pin.shards);
         Testbed::Params p;
         p.num_ports = 1;
         p.num_hosts = pin.hosts;
         p.opts = OptimizationSet::maskOnly();
+        p.run.shards = pin.shards;
         Testbed tb(p);
         for (unsigned i = 0; i < pin.guests; ++i) {
             auto &g = tb.addGuest(vmm::DomainType::Hvm,
@@ -413,18 +412,18 @@ TEST(Integration, PathTracingNeverPerturbsTheGoldenRun)
 {
     // The path tracer's non-perturbation contract, held against the
     // same pinned workload as GoldenDigestFig06SmokeIsPinned: with
-    // tracing off, sampled or full, the event-order digest, event
-    // count and every registered metric are identical. The tracer may
+    // the full export off or on, the event-order digest, event count
+    // and every registered metric are identical. The tracer may
     // only observe — it never schedules, never touches a metric, and
     // samples by a pure hash of the trace id.
     constexpr std::uint64_t kGoldenDigest = 0x113b495c442c4754ull;
     constexpr std::uint64_t kGoldenEvents = 44041;
 
-    auto run = [](obs::PathTraceMode mode) {
-        obs::PathTraceScope scope(mode);
+    auto run = [](bool full) {
         Testbed::Params p;
         p.num_ports = 1;
         p.opts = OptimizationSet::maskOnly();
+        p.run.pathtrace = full;
         Testbed tb(p);
         obs::MetricRegistry reg;
         tb.enableObs();
@@ -447,53 +446,45 @@ TEST(Integration, PathTracingNeverPerturbsTheGoldenRun)
                  reg.snapshot(), tb.pathTracer().snapshot()};
     };
 
-    auto off = run(obs::PathTraceMode::Off);
-    auto sampled = run(obs::PathTraceMode::Sampled);
-    auto full = run(obs::PathTraceMode::Full);
+    auto off = run(false);
+    auto full = run(true);
 
-    for (const auto *r : {&off, &sampled, &full}) {
+    for (const auto *r : {&off, &full}) {
         EXPECT_EQ(r->digest, kGoldenDigest);
         EXPECT_EQ(r->executed, kGoldenEvents);
     }
-    for (const auto *r : {&sampled, &full}) {
-        ASSERT_EQ(r->snap.samples.size(), off.snap.samples.size());
-        for (std::size_t i = 0; i < off.snap.samples.size(); ++i) {
-            const obs::MetricSample &a = off.snap.samples[i];
-            const obs::MetricSample &b = r->snap.samples[i];
-            EXPECT_EQ(a.name, b.name);
-            EXPECT_EQ(a.value, b.value) << a.name;
-            EXPECT_EQ(a.count, b.count) << a.name;
-            EXPECT_EQ(a.p50, b.p50) << a.name;
-            EXPECT_EQ(a.p99, b.p99) << a.name;
-        }
+    ASSERT_EQ(full.snap.samples.size(), off.snap.samples.size());
+    for (std::size_t i = 0; i < off.snap.samples.size(); ++i) {
+        const obs::MetricSample &a = off.snap.samples[i];
+        const obs::MetricSample &b = full.snap.samples[i];
+        EXPECT_EQ(a.name, b.name);
+        EXPECT_EQ(a.value, b.value) << a.name;
+        EXPECT_EQ(a.count, b.count) << a.name;
+        EXPECT_EQ(a.p50, b.p50) << a.name;
+        EXPECT_EQ(a.p99, b.p99) << a.name;
     }
 
-    // Attribution runs at the fixed base rate in every mode, so the
-    // path_stages block a report would carry is mode-invariant too.
+    // Attribution runs at the fixed base rate either way, so the
+    // path_stages block a report would carry is export-invariant too.
     EXPECT_TRUE(off.path.hasAttribution());
-    for (const auto *r : {&sampled, &full}) {
-        EXPECT_EQ(r->path.completed, off.path.completed);
-        EXPECT_EQ(r->path.origin_sampled, off.path.origin_sampled);
-        ASSERT_EQ(r->path.stages.size(), off.path.stages.size());
-        for (std::size_t i = 0; i < off.path.stages.size(); ++i) {
-            EXPECT_EQ(r->path.stages[i].stage, off.path.stages[i].stage);
-            EXPECT_EQ(r->path.stages[i].count, off.path.stages[i].count);
-            EXPECT_EQ(r->path.stages[i].p50_us,
-                      off.path.stages[i].p50_us);
-            EXPECT_EQ(r->path.stages[i].p99_us,
-                      off.path.stages[i].p99_us);
-        }
-        EXPECT_EQ(r->path.total.mean_us, off.path.total.mean_us);
+    EXPECT_EQ(full.path.completed, off.path.completed);
+    EXPECT_EQ(full.path.origin_sampled, off.path.origin_sampled);
+    ASSERT_EQ(full.path.stages.size(), off.path.stages.size());
+    for (std::size_t i = 0; i < off.path.stages.size(); ++i) {
+        EXPECT_EQ(full.path.stages[i].stage, off.path.stages[i].stage);
+        EXPECT_EQ(full.path.stages[i].count, off.path.stages[i].count);
+        EXPECT_EQ(full.path.stages[i].p50_us, off.path.stages[i].p50_us);
+        EXPECT_EQ(full.path.stages[i].p99_us, off.path.stages[i].p99_us);
     }
-    // Wider export can only widen the rings, never shrink them.
+    EXPECT_EQ(full.path.total.mean_us, off.path.total.mean_us);
+    // The full export can only widen the rings, never shrink them.
     auto pushes = [](const obs::PathSnapshot &s) {
         std::uint64_t n = 0;
         for (const obs::PathCompDump &c : s.comps)
             n += c.written;
         return n;
     };
-    EXPECT_GT(pushes(full.path), pushes(sampled.path));
-    EXPECT_GT(pushes(sampled.path), pushes(off.path));
+    EXPECT_GT(pushes(full.path), pushes(off.path));
 }
 
 TEST(Integration, ThinnedAndExactModesAgree)
@@ -505,10 +496,10 @@ TEST(Integration, ThinnedAndExactModesAgree)
     // DMA flow-through RX/TX, the lazy ITR window, the deferred RTO,
     // and the driver's ITR-retune sampler.
     auto run = [](bool thin) {
-        sim::ThinningScope scope(thin);
         Testbed::Params p;
         p.num_ports = 1;
         p.opts = OptimizationSet::all();
+        p.run.thin = thin;
         Testbed tb(p);
         obs::MetricRegistry reg;
         tb.enableObs();
@@ -553,10 +544,10 @@ TEST(Integration, BothModesAreDeterministic)
     // counts and goodput. (The two modes legitimately differ from each
     // other — thinning is the point — but each must be reproducible.)
     auto run = [](bool thin) {
-        sim::ThinningScope scope(thin);
         Testbed::Params p;
         p.num_ports = 1;
         p.opts = OptimizationSet::all();
+        p.run.thin = thin;
         Testbed tb(p);
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
                               Testbed::NetMode::Sriov);
@@ -578,4 +569,72 @@ TEST(Integration, BothModesAreDeterministic)
         EXPECT_EQ(a.executed, b.executed);
         EXPECT_DOUBLE_EQ(a.goodput, b.goodput);
     }
+}
+
+TEST(Integration, ModesBelongToTheirTestbed)
+{
+    // A run's mode is data its testbed owns: two fig06-shaped testbeds
+    // that differ only in RunConfig run side by side on two sweep
+    // workers, and each matches the same testbed run alone — the
+    // registry snapshot and the order digest.
+    struct R
+    {
+        std::uint64_t digest = 0;
+        std::uint64_t segments = 0;
+        obs::MetricSnapshot snap;
+    };
+    auto run = [](const obs::RunConfig &rc) {
+        Testbed::Params p;
+        p.num_ports = 1;
+        p.opts = OptimizationSet::maskOnly();
+        p.run = rc;
+        Testbed tb(p);
+        obs::MetricRegistry reg;
+        tb.enableObs();
+        tb.registerMetrics(reg);
+        for (unsigned i = 0; i < 2; ++i) {
+            auto &g = tb.addGuest(vmm::DomainType::Hvm,
+                                  Testbed::NetMode::Sriov,
+                                  guest::KernelVersion::v2_6_18);
+            tb.startUdpToGuest(g, p.line_bps / 2);
+        }
+        tb.run(sim::Time::sec(2));
+        R r;
+        r.digest = tb.orderDigest();
+        r.segments = tb.fluidStats() ? tb.fluidStats()->segments : 0;
+        r.snap = reg.snapshot();
+        return r;
+    };
+    obs::RunConfig thin, exact, fluid_exact, fluid_on;
+    exact.thin = false;
+    fluid_exact.fluid = sim::FluidMode::Exact;
+    fluid_on.fluid = sim::FluidMode::On;
+    const obs::RunConfig pairs[2][2] = {{thin, exact},
+                                        {fluid_exact, fluid_on}};
+    for (const auto &cfg : pairs) {
+        const R alone[2] = {run(cfg[0]), run(cfg[1])};
+        // The two modes really are different runs.
+        EXPECT_NE(alone[0].digest, alone[1].digest);
+        std::vector<R> both(2);
+        core::SweepRunner(2).run(
+            2, [&](std::size_t i) { both[i] = run(cfg[i]); });
+        for (std::size_t k = 0; k < 2; ++k) {
+            SCOPED_TRACE("pair member " + std::to_string(k));
+            EXPECT_EQ(both[k].digest, alone[k].digest);
+            EXPECT_EQ(both[k].segments, alone[k].segments);
+            const auto &a = alone[k].snap.samples;
+            const auto &b = both[k].snap.samples;
+            ASSERT_EQ(a.size(), b.size());
+            for (std::size_t i = 0; i < a.size(); ++i) {
+                EXPECT_EQ(a[i].name, b[i].name);
+                EXPECT_EQ(a[i].value, b[i].value) << a[i].name;
+                EXPECT_EQ(a[i].count, b[i].count) << a[i].name;
+                EXPECT_EQ(a[i].mean, b[i].mean) << a[i].name;
+                EXPECT_EQ(a[i].p50, b[i].p50) << a[i].name;
+                EXPECT_EQ(a[i].p99, b[i].p99) << a[i].name;
+            }
+        }
+    }
+    // Fluid on warped, so its run is not the exact schedule replayed.
+    EXPECT_GT(run(fluid_on).segments, 0u);
 }

@@ -17,7 +17,6 @@
 #include "mem/iommu.hpp"
 #include "mem/machine_memory.hpp"
 #include "sim/random.hpp"
-#include "sim/thinning.hpp"
 
 using namespace sriov;
 using namespace sriov::mem;
@@ -462,8 +461,7 @@ TEST(DmaEngine, DefaultsModelThe82576Link)
 TEST(DmaEngine, ThinCompletionInstantsMatchExactMode)
 {
     auto run = [](bool thin) {
-        sim::ThinningScope scope(thin);
-        sim::EventQueue eq;
+        sim::EventQueue eq(thin);
         DmaEngine::Params p;
         p.link_bps = 8e9;
         p.per_dma_overhead = sim::Time::ns(100);
@@ -494,7 +492,6 @@ TEST(DmaEngine, ThinCompletionInstantsMatchExactMode)
 
 TEST(DmaEngine, ReserveReturnsFifoCompletionInstants)
 {
-    sim::ThinningScope scope(true);
     sim::EventQueue eq;
     DmaEngine::Params p;
     p.link_bps = 8e9;
@@ -516,8 +513,7 @@ TEST(DmaEngine, ReserveReturnsFifoCompletionInstants)
 
 TEST(DmaEngineDeathTest, ReservePanicsInExactMode)
 {
-    sim::ThinningScope scope(false);
-    sim::EventQueue eq;
+    sim::EventQueue eq(/*thin=*/false);
     DmaEngine dma(eq, "d");
     EXPECT_DEATH(dma.reserve(100), "reserve");
 }

@@ -16,7 +16,6 @@
 #include "nic/sriov_nic.hpp"
 #include "nic/vmdq_nic.hpp"
 #include "nic/wire.hpp"
-#include "sim/thinning.hpp"
 
 using namespace sriov;
 using namespace sriov::nic;
@@ -171,8 +170,7 @@ runWire(bool thin,
         const std::function<void(sim::EventQueue &, Wire &, SinkEndpoint &,
                                  SinkEndpoint &)> &scenario)
 {
-    sim::ThinningScope scope(thin);
-    sim::EventQueue eq;
+    sim::EventQueue eq(thin);
     Wire::Params wp;
     wp.line_bps = 1e9;
     wp.propagation = sim::Time::ns(500);
@@ -295,8 +293,7 @@ TEST(WireThinning, PropagationOrderingIsPreserved)
 
 TEST(WireThinning, SendAtRequiresNowInExactMode)
 {
-    sim::ThinningScope scope(false);
-    sim::EventQueue eq;
+    sim::EventQueue eq(/*thin=*/false);
     Wire wire(eq);
     SinkEndpoint a, b;
     wire.connect(a, b);

@@ -467,6 +467,12 @@ TEST(BenchOptions, OutDirDerivesReportAndTracePaths)
               "./fig06.trace.json");
     EXPECT_FALSE(parseArgs({"--trace=0"}).wantTrace());
     EXPECT_EQ(parseArgs({"--trace=0"}).tracePath(), "");
+    // Path-trace flows share the run's one trace file, next to the
+    // report; without --out there is no report to sit beside.
+    EXPECT_EQ(parseArgs({"--out=o", "--pathtrace"}, "fig06").tracePath(),
+              "o/fig06.trace.json");
+    EXPECT_EQ(parseArgs({"--pathtrace"}, "fig06").tracePath(), "");
+    parseArgs({});    // parse() sets the process-wide default; reset it
 }
 
 TEST(BenchOptions, UnknownArgsAreKept)
@@ -490,57 +496,55 @@ TEST(BenchOptions, UsageListsTheDeclaredFlags)
               std::string::npos);
 }
 
-TEST(BenchOptions, EnvironmentFallback)
+TEST(BenchOptions, EnvironmentSetsNoMode)
 {
-    ::setenv("SRIOV_BENCH_OUT", "/tmp/envout", 1);
-    ::setenv("SRIOV_TRACE", "1", 1);
-    auto o = parseArgs({}, "fig20");
-    ::unsetenv("SRIOV_BENCH_OUT");
-    EXPECT_EQ(o.reportPath(), "/tmp/envout/fig20.json");
-    EXPECT_TRUE(o.wantTrace());
-    EXPECT_EQ(o.tracePath(), "/tmp/envout/fig20.trace.json");
-    // The flag overrides its environment fallback.
-    ::setenv("SRIOV_TRACE", "0", 1);
-    EXPECT_FALSE(parseArgs({}).wantTrace());
-    EXPECT_TRUE(parseArgs({"--trace"}).wantTrace());
-    ::unsetenv("SRIOV_TRACE");
+    // Options come from argv only: SRIOV_* variables leave every mode,
+    // and the testbed default, at its default.
+    ::setenv("SRIOV_SHARDS", "4", 1);
+    ::setenv("SRIOV_FLUID", "on", 1);
+    auto o = parseArgs({});
+    ::unsetenv("SRIOV_SHARDS");
+    ::unsetenv("SRIOV_FLUID");
+    EXPECT_EQ(o.run().shards, 0u);
+    EXPECT_EQ(o.run().fluid, sim::FluidMode::Off);
+    EXPECT_EQ(obs::defaultRunConfig().shards, 0u);
+    EXPECT_EQ(obs::defaultRunConfig().fluid, sim::FluidMode::Off);
 }
 
 TEST(BenchOptions, AcceptsEveryDocumentedModeValue)
 {
     auto o = parseArgs({"--jobs=3", "--shards=2", "--fluid=exact",
-                        "--pathtrace=sampled"});
+                        "--pathtrace=full", "--no-thin"});
     EXPECT_EQ(o.jobs(), 3u);
-    EXPECT_EQ(o.shards(), 2u);
-    EXPECT_EQ(o.fluidMode(), sim::FluidMode::Exact);
-    EXPECT_TRUE(o.wantPathTrace());
-    EXPECT_EQ(parseArgs({"--fluid"}).fluidMode(), sim::FluidMode::On);
-    EXPECT_EQ(parseArgs({"--fluid=1"}).fluidMode(), sim::FluidMode::On);
-    EXPECT_EQ(parseArgs({"--fluid=0"}).fluidMode(), sim::FluidMode::Off);
-    EXPECT_EQ(parseArgs({"--shards=0"}).shards(), 0u);
-    EXPECT_TRUE(parseArgs({"--pathtrace"}).wantPathTrace());
-    EXPECT_TRUE(parseArgs({"--pathtrace=1"}).wantPathTrace());
-    EXPECT_FALSE(parseArgs({"--pathtrace=0"}).wantPathTrace());
-    // parse() sets the process-wide mode switches; put the defaults back.
-    EXPECT_FALSE(parseArgs({"--pathtrace=off"}).wantPathTrace());
+    EXPECT_EQ(o.run().shards, 2u);
+    EXPECT_EQ(o.run().fluid, sim::FluidMode::Exact);
+    EXPECT_TRUE(o.run().pathtrace);
+    EXPECT_FALSE(o.run().thin);
+    // The parsed mode is what a default Testbed::Params starts from.
+    EXPECT_EQ(obs::defaultRunConfig().shards, 2u);
+    EXPECT_FALSE(obs::defaultRunConfig().thin);
+    auto fluid = [](const char *arg) { return parseArgs({arg}).run().fluid; };
+    EXPECT_EQ(fluid("--fluid"), sim::FluidMode::On);
+    EXPECT_EQ(fluid("--fluid=1"), sim::FluidMode::On);
+    EXPECT_EQ(fluid("--fluid=0"), sim::FluidMode::Off);
+    EXPECT_EQ(parseArgs({"--shards=0"}).run().shards, 0u);
+    EXPECT_TRUE(parseArgs({"--pathtrace"}).run().pathtrace);
+    EXPECT_TRUE(parseArgs({"--pathtrace=1"}).run().pathtrace);
+    EXPECT_FALSE(parseArgs({"--pathtrace=0"}).run().pathtrace);
+    // parse() sets the process-wide default; put it back.
+    EXPECT_FALSE(parseArgs({"--pathtrace=off"}).run().pathtrace);
+    EXPECT_TRUE(obs::defaultRunConfig().thin);
 }
 
-// A mode value parse() does not accept, as a flag and as its environment
-// fallback: each exits 2 with the flag's name and the usage text on
-// stderr instead of quietly running some default mode.
+// A mode value parse() does not accept exits 2 with the flag's name and
+// the usage text on stderr instead of quietly running some default
+// mode.
 
 TEST(BenchOptionsDeathTest, RejectsNonNumericShards)
 {
     EXPECT_EXIT(parseArgs({"--shards=abc"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --shards value 'abc'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_SHARDS", "two", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --shards value 'two' \\(from SRIOV_SHARDS\\).*usage");
 }
 
 TEST(BenchOptionsDeathTest, RejectsUnknownFluidMode)
@@ -548,13 +552,6 @@ TEST(BenchOptionsDeathTest, RejectsUnknownFluidMode)
     EXPECT_EXIT(parseArgs({"--fluid=bogus"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --fluid value 'bogus'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_FLUID", "bogus", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --fluid value 'bogus' \\(from SRIOV_FLUID\\).*usage");
 }
 
 TEST(BenchOptionsDeathTest, RejectsUnknownPathTraceMode)
@@ -562,14 +559,10 @@ TEST(BenchOptionsDeathTest, RejectsUnknownPathTraceMode)
     EXPECT_EXIT(parseArgs({"--pathtrace=weird"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --pathtrace value 'weird'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_PATHTRACE", "weird", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --pathtrace value 'weird' \\(from SRIOV_PATHTRACE\\)"
-        ".*usage");
+    // The export is a switch, off or full; there is no partial tier.
+    EXPECT_EXIT(parseArgs({"--pathtrace=sampled"}, "fig06"),
+                ::testing::ExitedWithCode(2),
+                "fig06: invalid --pathtrace value 'sampled'.*usage: fig06");
 }
 
 TEST(BenchOptionsDeathTest, RejectsTraceCategoriesAndPaths)
@@ -582,13 +575,6 @@ TEST(BenchOptionsDeathTest, RejectsTraceCategoriesAndPaths)
     EXPECT_EXIT(parseArgs({"--trace=/tmp/x.json"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --trace value '/tmp/x.json'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_TRACE", "nic", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --trace value 'nic' \\(from SRIOV_TRACE\\).*usage");
 }
 
 TEST(BenchOptionsDeathTest, RejectsNonNumericJobs)
@@ -596,13 +582,6 @@ TEST(BenchOptionsDeathTest, RejectsNonNumericJobs)
     EXPECT_EXIT(parseArgs({"--jobs=abc"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --jobs value 'abc'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_BENCH_JOBS", "abc", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --jobs value 'abc' \\(from SRIOV_BENCH_JOBS\\).*usage");
 }
 
 TEST(BenchOptionsDeathTest, RejectsZeroJobs)
@@ -610,13 +589,6 @@ TEST(BenchOptionsDeathTest, RejectsZeroJobs)
     EXPECT_EXIT(parseArgs({"--jobs=0"}, "fig06"),
                 ::testing::ExitedWithCode(2),
                 "fig06: invalid --jobs value '0'.*usage: fig06");
-    EXPECT_EXIT(
-        {
-            ::setenv("SRIOV_BENCH_JOBS", "0", 1);
-            parseArgs({}, "fig06");
-        },
-        ::testing::ExitedWithCode(2),
-        "invalid --jobs value '0' \\(from SRIOV_BENCH_JOBS\\).*usage");
 }
 
 // An argument no one declared, and a declared count that is not one,
@@ -704,29 +676,17 @@ TEST(PathTrace, SampleHashIsDeterministicAndBaseRateHolds)
 
 TEST(PathTrace, ModeControlsExportMaskOnly)
 {
-    {
-        PathTraceScope off(PathTraceMode::Off);
-        PathTracer t;
-        EXPECT_EQ(t.mode(), PathTraceMode::Off);
-        EXPECT_EQ(t.exportMask(), PathTracer::kBaseSampleMask);
-    }
-    {
-        PathTraceScope sampled(PathTraceMode::Sampled);
-        PathTracer t;
-        EXPECT_EQ(t.exportMask(), 7u);
-    }
-    {
-        PathTraceScope full(PathTraceMode::Full);
-        PathTracer t;
-        EXPECT_EQ(t.exportMask(), 0u);
-    }
-    EXPECT_STREQ(pathTraceModeName(PathTraceMode::Sampled), "sampled");
+    PathTracer off;
+    EXPECT_EQ(off.exportMask(), PathTracer::kBaseSampleMask);
+    EXPECT_EQ(off.snapshot().mode, "off");
+    PathTracer full(PathTracer::Params{.full = true});
+    EXPECT_EQ(full.exportMask(), 0u);
+    EXPECT_EQ(full.snapshot().mode, "full");
 }
 
 TEST(PathTrace, RingOverwritesOldestKeepingLifetimeCount)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{4, 16});
+    PathTracer t(PathTracer::Params{4, 16, true});
     std::uint16_t c = t.registerComponent("nic");
     for (std::uint64_t id = 1; id <= 10; ++id)
         t.record(c, PathStage::GuestTx, id, sim::Time::ns(id));
@@ -746,8 +706,7 @@ TEST(PathTrace, RingOverwritesOldestKeepingLifetimeCount)
 
 TEST(PathTrace, UntracedAndUnknownComponentRecordsAreIgnored)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{4, 16});
+    PathTracer t(PathTracer::Params{4, 16, true});
     std::uint16_t c = t.registerComponent("nic");
     t.record(c, PathStage::GuestTx, 0, sim::Time::ns(1));     // id 0
     t.record(c + 7, PathStage::GuestTx, 5, sim::Time::ns(1)); // bad comp
@@ -771,10 +730,9 @@ firstBaseSampledId()
 
 TEST(PathTrace, AttributionChargesDeltasBetweenVisitedStages)
 {
-    // Attribution runs at the base rate in EVERY mode — Off included —
-    // which is what lets figXX.json carry path_stages while staying
+    // Attribution runs at the base rate with the export off too, which
+    // is what lets figXX.json carry path_stages while staying
     // byte-identical across --pathtrace settings.
-    PathTraceScope off(PathTraceMode::Off);
     PathTracer t(PathTracer::Params{64, 16});
     std::uint16_t c = t.registerComponent("net");
     const std::uint64_t id = firstBaseSampledId();
@@ -799,8 +757,7 @@ TEST(PathTrace, AttributionChargesDeltasBetweenVisitedStages)
 
 TEST(PathTrace, StitchDropsHeadlessTrailsAndOrdersHops)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{8, 16});
+    PathTracer t(PathTracer::Params{8, 16, true});
     std::uint16_t a = t.registerComponent("net");
     std::uint16_t b = t.registerComponent("nic");
 
@@ -824,8 +781,7 @@ TEST(PathTrace, StitchDropsHeadlessTrailsAndOrdersHops)
 
 TEST(PathTrace, FlightRecorderDumpCarriesRingsAndTrails)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{8, 16});
+    PathTracer t(PathTracer::Params{8, 16, true});
     std::uint16_t c = t.registerComponent("nic0");
     t.record(c, PathStage::Origin, 3, sim::Time::us(1));
     t.record(c, PathStage::GuestRx, 3, sim::Time::us(5));
@@ -841,8 +797,7 @@ TEST(PathTrace, FlightRecorderDumpCarriesRingsAndTrails)
 
 TEST(PathTrace, WritePathTraceFileRoundTripsThroughParser)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{8, 16});
+    PathTracer t(PathTracer::Params{8, 16, true});
     std::uint16_t c = t.registerComponent("nic");
     t.record(c, PathStage::Origin, 1, sim::Time::us(1));
     t.record(c, PathStage::GuestRx, 1, sim::Time::us(2));
@@ -869,8 +824,7 @@ TEST(PathTrace, WritePathTraceFileRoundTripsThroughParser)
 
 TEST(PathTrace, ExportPathFlowsEmitsBoundSlices)
 {
-    PathTraceScope full(PathTraceMode::Full);
-    PathTracer t(PathTracer::Params{8, 16});
+    PathTracer t(PathTracer::Params{8, 16, true});
     std::uint16_t a = t.registerComponent("net");
     std::uint16_t b = t.registerComponent("nic");
     t.record(a, PathStage::Origin, 1, sim::Time::us(1));

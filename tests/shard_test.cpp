@@ -23,9 +23,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/fluid.hpp"
 #include "sim/log.hpp"
-#include "sim/shard.hpp"
 #include "sim/shard_engine.hpp"
-#include "sim/thinning.hpp"
 
 using namespace sriov;
 
@@ -634,13 +632,25 @@ TEST(ShardChannelSpsc, TwoThreadsKeepOrderAndDues)
 
 namespace {
 
+/** Parameters of a one-port testbed at @p shards (the smallest
+ *  partition at the default 1). */
+core::Testbed::Params
+onePort(unsigned shards = 1)
+{
+    core::Testbed::Params p;
+    p.num_ports = 1;
+    p.run.shards = shards;
+    return p;
+}
+
 /** A small sharded Testbed workload; returns its order fingerprint. */
 check::RunDigest
-runTestbedWorkload(unsigned shards)
+runTestbedWorkload(unsigned shards, bool thin = true)
 {
-    sim::ShardScope scope(shards);
     core::Testbed::Params p;
     p.num_ports = 2;
+    p.run.shards = shards;
+    p.run.thin = thin;
     core::Testbed tb(p);
     for (unsigned i = 0; i < 4; ++i) {
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
@@ -670,9 +680,8 @@ TEST(ShardTestbed, DigestIdenticalAcrossShardCountsUnthinned)
     // population, so the digests here differ from the thinned test
     // above — the contract is only that both sharded runs agree with
     // the sequential run of the *same* mode.
-    sim::ThinningScope exact(false);
-    check::RunDigest s1 = runTestbedWorkload(1);
-    check::RunDigest s2 = runTestbedWorkload(2);
+    check::RunDigest s1 = runTestbedWorkload(1, false);
+    check::RunDigest s2 = runTestbedWorkload(2, false);
     EXPECT_EQ(s1, s2);
     EXPECT_GT(s1.events, 10000u);
 }
@@ -692,10 +701,7 @@ TEST(ShardTestbed, ShardedMeasurementsMatchAcrossShardCounts)
     // Beyond the schedule: the paper-facing numbers (throughput, CPU
     // attribution) must be bit-equal across shard counts.
     auto measure = [](unsigned shards) {
-        sim::ShardScope scope(shards);
-        core::Testbed::Params p;
-        p.num_ports = 1;
-        core::Testbed tb(p);
+        core::Testbed tb(onePort(shards));
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
                               core::Testbed::NetMode::Sriov);
         tb.startUdpToGuest(g, 500e6);
@@ -711,24 +717,10 @@ TEST(ShardTestbed, ShardedMeasurementsMatchAcrossShardCounts)
 // Each refusal exits through sim::fatal with a message that names the
 // way out, so these pin the message as well as the exit.
 
-namespace {
-
-/** Parameters of a one-port testbed (the smallest partition). */
-core::Testbed::Params
-onePort()
-{
-    core::Testbed::Params p;
-    p.num_ports = 1;
-    return p;
-}
-
-} // namespace
-
 TEST(ShardTestbedDeathTest, VmdqNicRefusesThePartition)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed::Params p = onePort();
             p.use_vmdq_nic = true;
             core::Testbed tb(p);
@@ -741,8 +733,7 @@ TEST(ShardTestbedDeathTest, MultiHostNeedsThePartition)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(0);
-            core::Testbed::Params p = onePort();
+            core::Testbed::Params p = onePort(0);
             p.num_hosts = 2;
             core::Testbed tb(p);
         },
@@ -754,7 +745,6 @@ TEST(ShardTestbedDeathTest, PvGuestIsRefused)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed tb(onePort());
             tb.addGuest(vmm::DomainType::Pvm, core::Testbed::NetMode::Pv);
         },
@@ -766,7 +756,6 @@ TEST(ShardTestbedDeathTest, BondedGuestIsRefused)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed tb(onePort());
             tb.addGuest(vmm::DomainType::Hvm, core::Testbed::NetMode::Sriov,
                         guest::KernelVersion::v2_6_28, true);
@@ -779,7 +768,6 @@ TEST(ShardTestbedDeathTest, Dom0TrafficIsRefused)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed tb(onePort());
             tb.dom0Net(0);
         },
@@ -791,7 +779,6 @@ TEST(ShardTestbedDeathTest, GuestToGuestIsRefused)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed tb(onePort());
             auto &a = tb.addGuest(vmm::DomainType::Hvm,
                                   core::Testbed::NetMode::Sriov);
@@ -807,7 +794,6 @@ TEST(ShardTestbedDeathTest, SingleQueueAccessIsRefused)
 {
     EXPECT_EXIT(
         {
-            sim::ShardScope scope(1);
             core::Testbed tb(onePort());
             tb.eq();
         },

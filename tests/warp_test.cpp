@@ -22,7 +22,6 @@
 #include "obs/metric.hpp"
 #include "sim/fluid.hpp"
 #include "sim/log.hpp"
-#include "sim/shard.hpp"
 #include "sim/time.hpp"
 #include "vmm/domain.hpp"
 
@@ -52,11 +51,11 @@ struct WarpRun
 WarpRun
 runSharded(unsigned shards, FluidMode mode)
 {
-    sim::ShardScope scope(shards);
-    sim::FluidScope fluid(mode);
     core::Testbed::Params p;
     p.num_ports = 2;
     p.itr = "adaptive";
+    p.run.shards = shards;
+    p.run.fluid = mode;
     core::Testbed tb(p);
     for (unsigned i = 0; i < 4; ++i) {
         auto &g = tb.addGuest(vmm::DomainType::Hvm,
@@ -129,10 +128,10 @@ TEST(WarpCoordinator, WarpedShardedRunIsReproducible)
 
 TEST(WarpCoordinator, ExactInstallsLedgersButNoCoordinator)
 {
-    sim::ShardScope scope(2);
-    sim::FluidScope fluid(FluidMode::Exact);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.shards = 2;
+    p.run.fluid = FluidMode::Exact;
     core::Testbed tb(p);
     // Exact mode quantizes through the island ledgers (so On shares
     // its schedule) but never warps; there is nothing to coordinate.
@@ -142,9 +141,9 @@ TEST(WarpCoordinator, ExactInstallsLedgersButNoCoordinator)
 
 TEST(WarpCoordinator, OffInstallsNothingSharded)
 {
-    sim::ShardScope scope(2);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.shards = 2;
     core::Testbed tb(p);
     EXPECT_EQ(tb.warpCoordinator(), nullptr);
     EXPECT_EQ(tb.fluidStats(), nullptr);
@@ -152,9 +151,9 @@ TEST(WarpCoordinator, OffInstallsNothingSharded)
 
 TEST(WarpCoordinator, LegacyFluidRunsOneIsland)
 {
-    sim::FluidScope fluid(FluidMode::On);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.fluid = FluidMode::On;
     core::Testbed tb(p);
     // The legacy machine is the one-island case of the same driver.
     EXPECT_FALSE(tb.sharded());
@@ -183,9 +182,9 @@ struct FluidTagCounter final : sim::EventQueue::ExecHook
 
 TEST(WarpCoordinator, LegacyProbesNeverEnterTheSchedule)
 {
-    sim::FluidScope fluid(FluidMode::On);
     core::Testbed::Params p;
     p.num_ports = 1;
+    p.run.fluid = FluidMode::On;
     core::Testbed tb(p);
     FluidTagCounter counter;
     tb.eq().addExecHook(&counter);
@@ -211,12 +210,14 @@ namespace {
  * start-up one, so the steady schedule repeats only every 115.35 ms.
  */
 std::unique_ptr<core::Testbed>
-buildMidRange()
+buildMidRange(unsigned shards, FluidMode mode)
 {
     core::Testbed::Params p;
     p.num_ports = 1;
     p.itr = "adaptive";
     p.opts = core::OptimizationSet::maskEoi();
+    p.run.shards = shards;
+    p.run.fluid = mode;
     auto tb = std::make_unique<core::Testbed>(p);
     for (unsigned i = 0; i < 3; ++i) {
         auto &g = tb->addGuest(vmm::DomainType::Hvm,
@@ -228,10 +229,9 @@ buildMidRange()
 
 /** Guest 0's received packets after an exact run to @p until. */
 std::uint64_t
-exactMidRangeRx(Time until)
+exactMidRangeRx(unsigned shards, Time until)
 {
-    sim::FluidScope fluid(FluidMode::Exact);
-    auto tb = buildMidRange();
+    auto tb = buildMidRange(shards, FluidMode::Exact);
     tb->run(until);
     return tb->guest(0).rx->rxPackets();
 }
@@ -242,12 +242,11 @@ TEST(WarpCoordinator, LongHyperperiodWarpsBeforeTheFirstRetune)
 {
     for (unsigned shards : {0u, 1u}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        sim::ShardScope scope(shards);
-        const std::uint64_t exact_rx = exactMidRangeRx(Time::ms(990));
+        const std::uint64_t exact_rx =
+            exactMidRangeRx(shards, Time::ms(990));
         EXPECT_EQ(exact_rx, 26820u);
 
-        sim::FluidScope fluid(FluidMode::On);
-        auto tb = buildMidRange();
+        auto tb = buildMidRange(shards, FluidMode::On);
         tb->run(Time::ms(990));
         // The run's own horizon bounds the probed period: certified
         // at about 0.23 s, the hyperperiod warps six whole periods
@@ -264,12 +263,11 @@ TEST(WarpCoordinator, NoProbeStraddlesTheDriverRetune)
 {
     for (unsigned shards : {0u, 1u}) {
         SCOPED_TRACE("shards=" + std::to_string(shards));
-        sim::ShardScope scope(shards);
-        const std::uint64_t exact_rx = exactMidRangeRx(Time::ms(2500));
+        const std::uint64_t exact_rx =
+            exactMidRangeRx(shards, Time::ms(2500));
         EXPECT_EQ(exact_rx, 67724u);
 
-        sim::FluidScope fluid(FluidMode::On);
-        auto tb = buildMidRange();
+        auto tb = buildMidRange(shards, FluidMode::On);
         tb->run(Time::ms(2500));
         // The warp that lands short of the 1 s ITR sampler leaves it
         // as the horizon: no period is probed across it, where the
@@ -289,11 +287,11 @@ TEST(WarpCoordinator, AWarpRestartsTheMultiplierScan)
     // successor finds the retune too near to warp, and so the first
     // warp after the retune certifies at three times the new base
     // period.
-    sim::FluidScope fluid(FluidMode::On);
     core::Testbed::Params p;
     p.num_ports = 1;
     p.itr = "adaptive";
     p.opts = core::OptimizationSet::maskEoi();
+    p.run.fluid = FluidMode::On;
     core::Testbed tb(p);
     for (unsigned i = 0; i < 4; ++i) {
         auto &g = tb.addGuest(vmm::DomainType::Hvm,

@@ -18,9 +18,9 @@
  * benches come and go across PRs.
  *
  * The minimum ratio defaults to 0.8 (CI hosts jitter; a >20% drop is a
- * real regression) and can be overridden with SRIOV_PERF_MIN_RATIO or
- * --min-ratio=<x>. The per-bench verdicts are also written as a JSON
- * comparison file so CI can archive them as an artifact.
+ * real regression) and can be overridden with --min-ratio=<x>. The
+ * per-bench verdicts are also written as a JSON comparison file so CI
+ * can archive them as an artifact.
  *
  * Benches that report packets are additionally judged on
  * events-per-packet — a pure simulation metric with no host jitter.
@@ -28,12 +28,12 @@
  * or fluid warping is silently disabled, a fast machine can keep
  * events/s above the wall-clock gate while the simulator quietly does
  * several times the work per frame. Growth beyond
- * --max-epp-growth (default 1.1x, env SRIOV_PERF_MAX_EPP_GROWTH)
- * fails the run; shrinkage is fine — that is an optimization landing.
+ * --max-epp-growth (default 1.1x) fails the run; shrinkage is fine —
+ * that is an optimization landing.
  *
  * Fluid-on benches carry a third gate: --min-warp-frac (default 0 =
- * off, env SRIOV_PERF_MIN_WARP_FRAC) is a floor on the fresh
- * summary's fluid_stats.warp_frac — warped simulated seconds over
+ * off) is a floor on the fresh summary's fluid_stats.warp_frac —
+ * warped simulated seconds over
  * simulated seconds. A warp certificate that stops materialising
  * (every probe rejected) leaves results bit-identical and merely
  * makes the bench 50x slower, which a generous wall-clock ratio on a
@@ -43,9 +43,13 @@
  * summary carries it) is printed beside its rate and written to the
  * comparison file. It gates nothing: it is on record so a change in
  * memory shows up next to the speed it bought.
+ *
+ * Options come from argv only and fail closed: a threshold that is not
+ * a whole number ("0,9"), and an unknown --flag, exit 2.
  */
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -179,47 +183,63 @@ findRate(const std::vector<BenchRate> &rates, const std::string &name)
     return nullptr;
 }
 
+constexpr const char *kUsage =
+    "usage: perf_compare [--min-ratio=<x>] [--max-epp-growth=<x>] "
+    "[--min-warp-frac=<x>] [--out=<comparison.json>] "
+    "<baseline.json> <fresh.json>...\n";
+
+/** A threshold value: a finite number strtod reads in full ("0,9"
+ *  does not parse), else exit 2 — a half-read value would silently
+ *  loosen the gate. */
+double
+threshold(const char *flag, const char *s)
+{
+    char *end = nullptr;
+    double v = std::strtod(s, &end);
+    if (end == s || *end != '\0' || !std::isfinite(v)) {
+        std::fprintf(stderr, "perf_compare: invalid %s value '%s'\n%s",
+                     flag, s, kUsage);
+        std::exit(2);
+    }
+    return v;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     double min_ratio = 0.8;
-    if (const char *env = std::getenv("SRIOV_PERF_MIN_RATIO"))
-        min_ratio = std::atof(env);
     double max_epp_growth = 1.1;
-    if (const char *env = std::getenv("SRIOV_PERF_MAX_EPP_GROWTH"))
-        max_epp_growth = std::atof(env);
     // Fluid-on warp-effectiveness floor: 0 (the default) disables the
     // gate. When set, every *fresh* fluid-on bench must report a
     // fluid_stats.warp_frac at or above it — the failure mode this
     // catches is warping silently degrading (every probe rejected),
     // which wall-clock gates on a fast runner can miss.
     double min_warp_frac = 0.0;
-    if (const char *env = std::getenv("SRIOV_PERF_MIN_WARP_FRAC"))
-        min_warp_frac = std::atof(env);
 
     std::string out_path;
     std::vector<const char *> pos;
     for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--min-ratio=", 12) == 0)
-            min_ratio = std::atof(argv[i] + 12);
-        else if (std::strncmp(argv[i], "--max-epp-growth=", 17) == 0)
-            max_epp_growth = std::atof(argv[i] + 17);
-        else if (std::strncmp(argv[i], "--min-warp-frac=", 16) == 0)
-            min_warp_frac = std::atof(argv[i] + 16);
-        else if (std::strncmp(argv[i], "--out=", 6) == 0)
-            out_path = argv[i] + 6;
-        else
-            pos.push_back(argv[i]);
+        const char *a = argv[i];
+        if (std::strncmp(a, "--min-ratio=", 12) == 0) {
+            min_ratio = threshold("--min-ratio", a + 12);
+        } else if (std::strncmp(a, "--max-epp-growth=", 17) == 0) {
+            max_epp_growth = threshold("--max-epp-growth", a + 17);
+        } else if (std::strncmp(a, "--min-warp-frac=", 16) == 0) {
+            min_warp_frac = threshold("--min-warp-frac", a + 16);
+        } else if (std::strncmp(a, "--out=", 6) == 0) {
+            out_path = a + 6;
+        } else if (std::strncmp(a, "--", 2) == 0) {
+            std::fprintf(stderr, "perf_compare: unknown argument '%s'\n%s",
+                         a, kUsage);
+            return 2;
+        } else {
+            pos.push_back(a);
+        }
     }
     if (pos.size() < 2) {
-        std::fprintf(stderr,
-                     "usage: perf_compare [--min-ratio=<x>] "
-                     "[--max-epp-growth=<x>] "
-                     "[--min-warp-frac=<x>] "
-                     "[--out=<comparison.json>] "
-                     "<baseline.json> <fresh.json>...\n");
+        std::fputs(kUsage, stderr);
         return 2;
     }
     if (min_ratio <= 0 || min_ratio > 1.0) {

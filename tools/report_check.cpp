@@ -312,8 +312,7 @@ checkPathTrace(const std::string &path)
             return fail(path, "case without label");
         const JsonValue *mode = c.find("mode");
         if (mode == nullptr || !mode->isString()
-            || (mode->str != "off" && mode->str != "sampled"
-                && mode->str != "full"))
+            || (mode->str != "off" && mode->str != "full"))
             return fail(path, "case '" + label->str + "': bad mode");
         for (const char *k :
              {"export_mask", "base_mask", "records", "origin_calls",

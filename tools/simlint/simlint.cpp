@@ -720,7 +720,7 @@ pathInSrc(const std::string &path)
     return false;
 }
 
-/** src/sim/shard_* (and shard.cpp/hpp): the shard engine is the one
+/** src/sim/shard_*: the shard engine is the one
  *  component whose business IS host threads, so the wallclock and
  *  unordered-iteration heuristics are scoped out of it — its worker
  *  loops name std::thread/atomics in patterns the token rules
